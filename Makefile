@@ -11,7 +11,7 @@ test: build
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./cmd/dashserve/
+	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./internal/replic/ ./cmd/dashserve/
 
 vet:
 	$(GO) vet ./...

@@ -1,27 +1,33 @@
 package dash
 
-// This file is the public serving contract: the Searcher/Maintainer
-// interfaces every topology implements, and dash.Open — the one entry
-// point that picks a topology (static, live, or sharded) from functional
-// options, so call sites depend on the contract and swap topologies
-// without rewrites.
+// This file is the public serving contract: the Searcher/Maintainer/Handle
+// interfaces, dash.Open with its functional options, and handle — the one
+// implementation of Handle. A handle is a sharded live index (S >= 1) plus
+// nil-able optional layers; each method runs the layers it finds present
+// in a fixed order, so call sites depend on the contract and never on
+// which layers a deployment configured.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"sync"
+	"time"
 
+	"repro/internal/crawl"
+	"repro/internal/durable"
 	"repro/internal/faultfs"
+	"repro/internal/fragindex"
+	"repro/internal/replic"
 	"repro/internal/search"
 )
 
-// Searcher is the read contract every serving topology implements:
-// Engine, MultiEngine, LiveEngine, and ShardedLiveEngine all answer the
-// same three calls, so callers written against Searcher swap topologies
-// freely. Every search takes a context first; an already-cancelled ctx
-// returns ctx.Err() without touching a snapshot, and a cancellation or
-// deadline arriving mid-search is honored cooperatively (a bounded number
-// of heap pops after the signal — see the search package docs).
+// Searcher is the read contract: every search takes a context first; an
+// already-cancelled ctx returns ctx.Err() without touching a snapshot, and
+// a cancellation or deadline arriving mid-search is honored cooperatively
+// (a bounded number of heap pops after the signal — see the search
+// package docs).
 type Searcher interface {
 	// Search answers one top-k query against the current index state.
 	Search(ctx context.Context, req Request) ([]Result, error)
@@ -29,22 +35,32 @@ type Searcher interface {
 	// one consistent index state; out[i] answers reqs[i]. Slots abandoned
 	// by a cancellation carry ctx.Err().
 	SearchBatch(ctx context.Context, reqs []Request) []BatchResult
-	// Stats summarizes the serving index in the unified shape.
+	// Stats summarizes the serving index, with one block per present
+	// optional layer.
 	Stats() EngineStats
 }
 
-// Maintainer is the write contract of the live topologies (LiveEngine and
-// ShardedLiveEngine — the handles Open returns): fold database changes
-// into the serving index while searches keep running. Every method takes a
-// context and every apply is transactional per publish cycle — a
-// cancellation, like any other error, publishes nothing in the failing
-// cycle (see ShardedLiveIndex for the cross-shard contract).
+// Maintainer is the write contract: fold database changes into the
+// serving index while searches keep running. Every method takes a context
+// and every apply is transactional per shard — a cancellation, like any
+// other error, publishes nothing in the failing shard's cycle (see
+// ShardedLiveIndex for the cross-shard contract). A replica handle refuses
+// every method with ErrReplicaReadOnly; a degraded durable handle refuses
+// the publishing ones with ErrDurabilityDegraded.
 type Maintainer interface {
 	// Apply folds one delta into the index and publishes atomically.
 	Apply(ctx context.Context, d Delta) (ApplyReport, error)
 	// ApplyBatch coalesces a sequence of deltas into one publish per
-	// touched publish cycle.
+	// touched shard.
 	ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error)
+	// Queue buffers a delta for a later Flush without applying it,
+	// returning the queue length.
+	Queue(d Delta) (int, error)
+	// Flush publishes every queued delta as one coalesced batch. An
+	// already-cancelled ctx fails before the drain, leaving the queue
+	// intact; after the drain the batch is gone whether or not the apply
+	// succeeds.
+	Flush(ctx context.Context) (ApplyReport, error)
 	// Recrawl re-executes the application query for the given fragment
 	// partitions only, derives the resulting delta, and publishes it.
 	Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error)
@@ -52,49 +68,81 @@ type Maintainer interface {
 	// in one transactional delta.
 	RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error)
 	// RecrawlBatch combines a targeted re-crawl with a batch of explicit
-	// deltas; everything coalesces into one publish per touched cycle.
+	// deltas; everything coalesces into one publish per touched shard.
 	RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error)
 	// CompactIfNeeded runs the snapshot garbage collector, returning how
-	// many publish cycles compacted.
+	// many shards compacted. On a durable handle it then checkpoints.
 	CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error)
 }
 
-// Handle is the full serving contract Open returns: searches and
-// maintenance over one index, whatever topology the options picked.
+// Handle is the full serving contract Open and OpenReplica return:
+// searches and maintenance over one index, plus the reads of every
+// optional layer. A layer the handle was not opened with answers
+// explicitly — CacheBypass, a nil stats block, an empty state, ("",
+// false), or a typed error — so callers never type-assert for it.
 type Handle interface {
 	Searcher
 	Maintainer
-}
+	CachedSearcher
 
-// ErrReadOnly is returned by every Maintainer method of a handle opened
-// with WithReadOnly.
-var ErrReadOnly = errors.New("dash: read-only handle: maintenance not supported")
+	// Checkpoint persists each shard's current state as a fresh snapshot
+	// generation and truncates its journal. ErrNotDurable without
+	// WithDataDir.
+	Checkpoint(ctx context.Context) error
+	// DurabilityStats reports the store's journal, checkpoint, recovery,
+	// and health counters (it takes every shard lock); nil when the handle
+	// is not durable.
+	DurabilityStats() *DurabilityStats
+	// DurabilityState reports the durability state machine's state (an
+	// atomic read, safe on every request path); "" when not durable.
+	DurabilityState() DurabilityState
+	// DurabilityProbeIn reports how long until the degraded-mode prober
+	// next re-tests the data dir (zero while healthy or when not durable)
+	// — what serving layers derive Retry-After from for degraded writes.
+	DurabilityProbeIn() time.Duration
+
+	// ReplicationHandler serves the replication transport replicas
+	// bootstrap from and tail — mount it under ReplicationPrefix with
+	// http.StripPrefix. nil unless the handle is a durable leader.
+	ReplicationHandler() http.Handler
+	// ReplicationStats reports a replica's tail state; nil unless the
+	// handle was opened with OpenReplica.
+	ReplicationStats() *ReplicationStats
+	// RouteSearch is the read-placement decision HTTP layers consult
+	// before serving a search locally. When proxy is true the request
+	// should be forwarded byte-for-byte to target (a base URL): a replica
+	// sends reads it cannot satisfy to its leader, a WithReplicas leader
+	// places eligible reads on a qualifying replica. ("", false) when the
+	// handle has no routing layer or the read should stay local.
+	RouteSearch(req Request) (target string, proxy bool)
+
+	// Close stops the read router and the replica tail, then flushes
+	// unsynced journal appends and releases the data directory. The handle
+	// keeps serving searches afterwards, but durable writes fail: close it
+	// last. A handle with none of those layers has nothing to release.
+	Close() error
+}
 
 // openConfig accumulates functional options; zero values are the
 // defaults.
 type openConfig struct {
-	shards     int // 0 or 1: single live index; > 1: sharded
-	workers    int // <= 0: GOMAXPROCS (the clampWorkers convention)
-	compactNum int // posting-compaction threshold; 0/0: keep the default
-	compactDen int
-	candLimit  int // default Request.CandidateLimit when a request has none
-	readOnly   bool
-	dataDir    string // non-empty: durable serving rooted here
-	syncPolicy SyncPolicy
-	retry      DurabilityRetryPolicy    // zero value: durable defaults
-	fsys       faultfs.FS               // nil: the real os package
-	cacheBytes int64                    // > 0: epoch-keyed result cache budget
-	admission  *search.AdmissionOptions // non-nil: deadline-aware shedding
-	replicaURLs    []string             // non-empty: bounded-staleness read routing
-	stalenessBound int64                // routing default bound; < 0: unbounded
+	shards         int    // 0: one shard, or the data dir's committed count
+	dataDir        string // non-empty: durable serving rooted here
+	syncPolicy     SyncPolicy
+	retry          DurabilityRetryPolicy    // zero value: durable defaults
+	fsys           faultfs.FS               // nil: the real os package
+	cacheBytes     int64                    // > 0: epoch-keyed result cache budget
+	admission      *search.AdmissionOptions // non-nil: deadline-aware shedding
+	replicaURLs    []string                 // non-empty: bounded-staleness read routing
+	stalenessBound int64                    // routing default bound; < 0: unbounded
 }
 
 // Option configures Open.
 type Option func(*openConfig) error
 
 // WithShards partitions the index across n independent publish cycles
-// (n > 1 selects the sharded topology; n == 1, the default, a single live
-// index). See ARCHITECTURE.md for the routing and equivalence contract.
+// (default 1). See ARCHITECTURE.md for the routing and equivalence
+// contract.
 func WithShards(n int) Option {
 	return func(c *openConfig) error {
 		if n < 1 {
@@ -105,63 +153,12 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithWorkers bounds the worker pool batch searches and the sharded
-// scatter fan out over (n <= 0 means GOMAXPROCS, the default).
-func WithWorkers(n int) Option {
-	return func(c *openConfig) error {
-		c.workers = n
-		return nil
-	}
-}
-
-// WithPostingCompaction tunes the lazy posting-list compaction threshold
-// to num/den (default 1/4): a posting list is rewritten once at least
-// num/den of its entries are dead. See Index.SetPostingCompaction.
-func WithPostingCompaction(num, den int) Option {
-	return func(c *openConfig) error {
-		if num < 1 || den < 1 || num > den {
-			return fmt.Errorf("dash: WithPostingCompaction(%d, %d): want 0 < num <= den", num, den)
-		}
-		c.compactNum, c.compactDen = num, den
-		return nil
-	}
-}
-
-// WithCandidateLimit caps postings read per keyword for every request that
-// leaves Request.CandidateLimit at 0 (which otherwise means "read full
-// lists"). A server-side guard against hot-keyword latency. A request can
-// override the handle default either way: any positive CandidateLimit
-// replaces it, and a negative one explicitly requests full posting lists
-// (the engine treats every non-positive limit as unlimited).
-func WithCandidateLimit(n int) Option {
-	return func(c *openConfig) error {
-		if n < 0 {
-			return fmt.Errorf("dash: WithCandidateLimit(%d): limit must be >= 0", n)
-		}
-		c.candLimit = n
-		return nil
-	}
-}
-
-// WithReadOnly opens the static topology: searches run against the index
-// frozen at Open time and every Maintainer method returns ErrReadOnly.
-// The cheapest choice when the corpus never changes (no publish machinery
-// at all). Incompatible with WithShards > 1.
-func WithReadOnly() Option {
-	return func(c *openConfig) error {
-		c.readOnly = true
-		return nil
-	}
-}
-
 // WithDataDir makes the handle durable, rooted at dir: every publish
 // journals its delta to disk before the swap that acknowledges it, and
 // reopening the same directory recovers exactly the last acknowledged
 // state. A fresh directory is seeded from the index passed to Open; an
 // initialized one is recovered, idx must be nil, and the committed shard
-// count pins the topology (see IsInitialized). Incompatible with
-// WithReadOnly. The returned handle additionally implements Checkpointer,
-// DurabilityReporter, and io.Closer.
+// count pins the topology (see IsInitialized).
 func WithDataDir(dir string) Option {
 	return func(c *openConfig) error {
 		if dir == "" {
@@ -208,12 +205,12 @@ func WithDurableFS(fsys faultfs.FS) Option {
 
 // WithReplicas layers bounded-staleness read routing over a durable
 // leader handle: the handle polls each replica's readiness report and its
-// RouteSearch (see SearchRouter) places reads with no explicit MinEpoch on
-// any replica within DefaultStalenessBound epochs of the leader's current
-// epoch, falling back to serving locally when none qualifies. Requires
-// WithDataDir (replicas bootstrap from the leader's snapshots and tail its
-// journal). urls are replica base URLs (dashserve processes started with
-// -replica-of pointing back at this leader).
+// RouteSearch places reads with no explicit MinEpoch on any replica within
+// DefaultStalenessBound epochs of the leader's current epoch, falling back
+// to serving locally when none qualifies. Requires WithDataDir (replicas
+// bootstrap from the leader's snapshots and tail its journal). urls are
+// replica base URLs (dashserve processes started with -replica-of pointing
+// back at this leader).
 func WithReplicas(urls ...string) Option {
 	return func(c *openConfig) error {
 		if len(urls) == 0 {
@@ -241,19 +238,14 @@ func WithStalenessBound(epochs int) Option {
 	}
 }
 
-// Open wraps a built index for serving behind the one public contract,
-// picking the topology from the options:
-//
-//   - WithReadOnly: a static engine over the index frozen at Open time.
-//   - default (or WithShards(1)): a single LiveEngine — epoch-swap
-//     snapshots, one publish cycle.
-//   - WithShards(n > 1): a ShardedLiveEngine — the fragment space
-//     partitioned by equality-group key, scatter-gather searches,
-//     per-shard publish cycles.
-//
-// Every topology answers Search/SearchBatch/Stats identically (byte-equal
-// results for the same corpus — the equivalence tests pin this down), so
-// the choice is purely operational: write rate and core count.
+// Open wraps a built index for serving behind the one public contract:
+// the fragment space partitioned by equality-group key across
+// WithShards(n) shards (default 1), scatter-gather searches, per-shard
+// publish cycles, and whichever optional layers the options add. Results
+// are byte-identical to a search over the unpartitioned index (at any
+// shard count unless K truncates the result stream, and always at S = 1 —
+// the equivalence tests pin this down), so the shard count is purely
+// operational: write rate and core count.
 //
 // Open takes ownership of idx: all further access must go through the
 // returned Handle. app may be nil when URL formulation is not needed.
@@ -269,139 +261,263 @@ func Open(ctx context.Context, idx *Index, app *Application, opts ...Option) (Ha
 			return nil, err
 		}
 	}
-	if cfg.readOnly && cfg.shards > 1 {
-		return nil, fmt.Errorf("dash: WithReadOnly is incompatible with WithShards(%d)", cfg.shards)
+	h := &handle{app: app}
+	var err error
+	switch {
+	case cfg.dataDir != "":
+		if h.live, h.store, err = openDurable(ctx, idx, cfg); err != nil {
+			return nil, err
+		}
+	case len(cfg.replicaURLs) > 0:
+		return nil, fmt.Errorf("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
+	case idx == nil:
+		return nil, fmt.Errorf("dash: Open with a nil index (only a durable reopen serves without one)")
+	default:
+		if h.live, err = fragindex.NewShardedLive(idx, max(cfg.shards, 1)); err != nil {
+			return nil, err
+		}
 	}
-	if cfg.dataDir != "" {
-		if cfg.readOnly {
-			return nil, fmt.Errorf("dash: WithDataDir is incompatible with WithReadOnly")
-		}
-		if cfg.compactNum > 0 && idx != nil {
-			if err := idx.SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-				return nil, err
-			}
-		}
-		h, err := openDurable(ctx, idx, app, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if h, err = wrapServing(h, cfg); err != nil {
-			return nil, err
-		}
-		if len(cfg.replicaURLs) > 0 {
-			return wrapReplicas(h, cfg)
-		}
-		return h, nil
+	h.engine = search.NewSharded(h.live, app)
+	if cfg.cacheBytes > 0 {
+		h.cache = search.NewResultCache(cfg.cacheBytes)
+	}
+	if cfg.admission != nil {
+		h.ac = search.NewAdmissionController(*cfg.admission)
 	}
 	if len(cfg.replicaURLs) > 0 {
-		return nil, fmt.Errorf("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
+		h.router = replic.NewRouter(cfg.replicaURLs, replic.RouterOptions{})
+		h.bound = cfg.stalenessBound
 	}
-	if idx == nil {
-		return nil, fmt.Errorf("dash: Open with a nil index (only a durable reopen serves without one)")
+	return h, nil
+}
+
+// orBackground tolerates a nil context at the API boundary so a forgotten
+// ctx degrades to "not cancellable" instead of a panic inside the cache
+// and admission layers.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
 	}
-	if cfg.compactNum > 0 {
-		if err := idx.SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-			return nil, err
+	return ctx
+}
+
+// handle is the one Handle implementation: a sharded live index and its
+// scatter-gather engine, plus optional layers that are nil when absent.
+// Searches run admission → cache → pin → SearchPinned; writes run replica
+// refusal → degraded gate → maintenance lock → routed apply → cache sweep;
+// Stats attaches each present layer's block. All methods are safe for
+// concurrent use.
+type handle struct {
+	app    *Application
+	live   *fragindex.ShardedLiveIndex
+	engine *search.ShardedEngine
+
+	// mu serializes the whole maintenance cycle (derive + apply), so delta
+	// classification always runs against the latest published state.
+	mu sync.Mutex
+	// pendMu guards the Queue/Flush buffer: deltas wait unrouted and
+	// partition across shards only at Flush, and Queue never blocks on an
+	// in-flight publish.
+	pendMu  sync.Mutex
+	pending []Delta
+
+	cache   *search.ResultCache         // WithResultCache
+	ac      *search.AdmissionController // WithAdmissionControl
+	store   *durable.Store              // WithDataDir
+	router  *replic.Router              // WithReplicas: leader-side read placement
+	replica *replic.Replica             // OpenReplica: journal tail, no write path
+	// bound is the staleness bound in epochs (< 0: unbounded): how far a
+	// replica may trail the leader's epoch and still take routed reads
+	// (router), or lag its leader before forwarding reads back (replica).
+	bound int64
+}
+
+// Stats reports the index's serving stats (Queued includes the handle's
+// Queue buffer) with a block for each present layer.
+func (h *handle) Stats() EngineStats {
+	st := h.engine.Stats()
+	h.pendMu.Lock()
+	st.Queued += len(h.pending)
+	h.pendMu.Unlock()
+	if h.cache != nil {
+		cs := h.cache.Stats()
+		st.Cache = &cs
+	}
+	if h.ac != nil {
+		as := h.ac.Stats()
+		st.Admission = &as
+	}
+	st.Durability = h.DurabilityStats()
+	if h.router != nil {
+		rs := h.router.Stats()
+		st.Replicas = &rs
+	}
+	st.Replication = h.ReplicationStats()
+	return st
+}
+
+// writable is the write path's refusals, in order: a replica has no write
+// path at all, and a degraded durable store fails mutations fast — the
+// disk just proved unreliable, so no publish cycle starts that could not
+// be made durable (the same typed error would surface from the publish
+// hook, but failing first keeps degraded writes cheap and unwrapped).
+func (h *handle) writable() error {
+	if h.replica != nil {
+		return ErrReplicaReadOnly
+	}
+	if h.store != nil {
+		return h.store.DegradedErr()
+	}
+	return nil
+}
+
+// write runs one maintenance cycle under the write path's fixed order.
+// The sweep runs whether or not the apply succeeded: a routed apply can
+// publish on some shards before failing on another.
+func (h *handle) write(apply func() (ApplyReport, error)) (ApplyReport, error) {
+	if err := h.writable(); err != nil {
+		return ApplyReport{}, err
+	}
+	h.mu.Lock()
+	rep, err := apply()
+	h.mu.Unlock()
+	h.sweep()
+	return rep, err
+}
+
+// Apply routes a delta's changes to their shards and applies them
+// concurrently (transactional per shard).
+func (h *handle) Apply(ctx context.Context, d Delta) (ApplyReport, error) {
+	return h.write(func() (ApplyReport, error) { return h.live.Apply(ctx, d) })
+}
+
+// ApplyBatch coalesces a sequence of deltas and applies the net changes
+// concurrently across shards — one publish per touched shard.
+func (h *handle) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error) {
+	return h.write(func() (ApplyReport, error) { return h.live.ApplyBatch(ctx, ds) })
+}
+
+// Queue buffers a delta for a later batched publish. Nothing publishes,
+// so a degraded store does not refuse it — Flush does.
+func (h *handle) Queue(d Delta) (int, error) {
+	if h.replica != nil {
+		return 0, ErrReplicaReadOnly
+	}
+	h.pendMu.Lock()
+	defer h.pendMu.Unlock()
+	h.pending = append(h.pending, d)
+	return len(h.pending), nil
+}
+
+// Flush drains the queue and applies everything as one coalesced, routed
+// batch. Refusals leave the queue untouched.
+func (h *handle) Flush(ctx context.Context) (ApplyReport, error) {
+	return h.write(func() (ApplyReport, error) {
+		if err := orBackground(ctx).Err(); err != nil {
+			return ApplyReport{}, err
 		}
-	}
-	var h Handle
-	switch {
-	case cfg.readOnly:
-		h = &staticHandle{
-			engine:    search.New(idx.Freeze(), app),
-			workers:   cfg.workers,
-			candLimit: cfg.candLimit,
+		h.pendMu.Lock()
+		batch := h.pending
+		h.pending = nil
+		h.pendMu.Unlock()
+		return h.live.ApplyBatch(ctx, batch)
+	})
+}
+
+// Recrawl re-executes the application query for the given fragment
+// partitions only — not the whole database — derives the resulting Delta
+// (inserts, removals, updates), and publishes it. This is the paper's
+// §VIII "efficient update mechanism" end to end: after database rows
+// change, pass every fragment identifier whose partition is affected.
+func (h *handle) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
+	return h.RecrawlWith(ctx, db, ids, Delta{})
+}
+
+// RecrawlWith combines a targeted re-crawl with explicit extra changes and
+// applies everything as one routed delta. Derivation runs under the
+// maintenance lock and classifies against the latest published shard
+// snapshots, so concurrent maintenance calls observe each other's results
+// instead of racing.
+func (h *handle) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
+	return h.write(func() (ApplyReport, error) {
+		d := Delta{
+			SelAttrs: extra.SelAttrs,
+			Changes:  append([]FragmentChange(nil), extra.Changes...),
 		}
-	case cfg.shards > 1:
-		se, err := NewShardedLiveEngine(idx, app, cfg.shards)
-		if err != nil {
-			return nil, err
+		if len(ids) > 0 {
+			derived, err := h.derive(ctx, db, ids)
+			if err != nil {
+				return ApplyReport{}, err
+			}
+			if d.SelAttrs == nil {
+				d.SelAttrs = derived.SelAttrs
+			}
+			d.Changes = append(d.Changes, derived.Changes...)
 		}
-		se.engine.MaxFanout = cfg.workers
-		se.workers = cfg.workers
-		se.candLimit = cfg.candLimit
-		h = se
-	default:
-		le := NewLiveEngine(idx, app)
-		le.workers = cfg.workers
-		le.candLimit = cfg.candLimit
-		h = le
-	}
-	return wrapServing(h, cfg)
+		return h.live.Apply(ctx, d)
+	})
 }
 
-// fillCandidateLimit applies a handle-level default CandidateLimit to
-// requests that leave the field at 0. A negative request value is the
-// explicit opt-out — it passes through untouched, and the engine reads
-// full posting lists for any non-positive limit.
-func fillCandidateLimit(req Request, limit int) Request {
-	if req.CandidateLimit == 0 && limit > 0 {
-		req.CandidateLimit = limit
-	}
-	return req
-}
-
-// fillCandidateLimits is fillCandidateLimit over a batch; it copies only
-// when a request actually changes, so the common no-default path passes
-// the caller's slice through untouched.
-func fillCandidateLimits(reqs []Request, limit int) []Request {
-	if limit <= 0 {
-		return reqs
-	}
-	out := reqs
-	copied := false
-	for i, req := range reqs {
-		if req.CandidateLimit != 0 {
-			continue
+// RecrawlBatch combines a targeted re-crawl with a batch of explicit
+// deltas; the whole batch coalesces (changes to one fragment fold before
+// touching the index) and each touched shard pays one publish.
+func (h *handle) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
+	return h.write(func() (ApplyReport, error) {
+		batch := append([]Delta(nil), ds...)
+		if len(ids) > 0 {
+			derived, err := h.derive(ctx, db, ids)
+			if err != nil {
+				return ApplyReport{}, err
+			}
+			batch = append(batch, derived)
 		}
-		if !copied {
-			out = append([]Request(nil), reqs...)
-			copied = true
-		}
-		out[i].CandidateLimit = limit
+		return h.live.ApplyBatch(ctx, batch)
+	})
+}
+
+// derive re-crawls the given partitions against the latest published
+// shard snapshots. Caller holds h.mu.
+func (h *handle) derive(ctx context.Context, db *Database, ids []FragmentID) (Delta, error) {
+	if h.app == nil {
+		return Delta{}, errors.New("dash: Recrawl needs an application bound to the engine")
 	}
-	return out
+	bound, err := h.app.Bound()
+	if err != nil {
+		return Delta{}, err
+	}
+	return crawl.DeriveDelta(ctx, db, bound, ids, h.live.Has)
 }
 
-// staticHandle is the read-only topology behind Open(WithReadOnly): a
-// plain engine over one frozen snapshot, with every Maintainer method
-// refusing.
-type staticHandle struct {
-	engine    *Engine
-	workers   int
-	candLimit int
+// CompactIfNeeded runs the snapshot garbage collector on every shard and,
+// on a durable handle, then checkpoints every shard — compacted or not —
+// so the journal is truncated and the on-disk generation reflects the
+// served state ("compaction doubles as checkpoint"). A replica refuses: a
+// local compaction would advance its epochs outside the leader's sequence
+// and collide with tailed records — replicas inherit compaction through
+// re-bootstrap instead.
+func (h *handle) CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error) {
+	if err := h.writable(); err != nil {
+		return 0, err
+	}
+	n, err := h.live.CompactIfNeeded(ctx, maxDeadRatio)
+	if err == nil && h.store != nil {
+		err = h.Checkpoint(ctx)
+	}
+	h.sweep()
+	return n, err
 }
 
-func (h *staticHandle) Search(ctx context.Context, req Request) ([]Result, error) {
-	return h.engine.Search(ctx, fillCandidateLimit(req, h.candLimit))
-}
-
-func (h *staticHandle) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	return h.engine.ParallelSearch(ctx, fillCandidateLimits(reqs, h.candLimit), h.workers)
-}
-
-func (h *staticHandle) Stats() EngineStats { return h.engine.Stats() }
-
-func (h *staticHandle) Apply(context.Context, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) ApplyBatch(context.Context, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) Recrawl(context.Context, *Database, []FragmentID) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) RecrawlWith(context.Context, *Database, []FragmentID, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) RecrawlBatch(context.Context, *Database, []FragmentID, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) CompactIfNeeded(context.Context, float64) (int, error) {
-	return 0, ErrReadOnly
+// Close stops the read router and the replica tail (the last applied
+// state keeps serving), then closes the durable store.
+func (h *handle) Close() error {
+	if h.router != nil {
+		h.router.Stop()
+	}
+	if h.replica != nil {
+		return h.replica.Close()
+	}
+	if h.store != nil {
+		return h.store.Close()
+	}
+	return nil
 }

@@ -1,8 +1,8 @@
 package dash
 
 // Contract tests for the context-first public API: compile-time
-// interface coverage (the apidiff-style guard CI runs), Open's topology
-// selection and option validation, and the cross-topology equivalence
+// interface coverage (the apidiff-style guard CI runs), Open's shard
+// selection and option validation, and the cross-shard-count equivalence
 // the contract promises.
 
 import (
@@ -13,24 +13,13 @@ import (
 
 	"repro/internal/fooddb"
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
-// The apidiff guard: every serving topology implements Searcher, and the
-// live topologies (everything Open returns) implement the full Handle.
-// A signature drift on any engine type breaks the build right here.
-var (
-	_ Searcher = (*Engine)(nil)
-	_ Searcher = (*MultiEngine)(nil)
-	_ Searcher = (*LiveEngine)(nil)
-	_ Searcher = (*ShardedLiveEngine)(nil)
-
-	_ Maintainer = (*LiveEngine)(nil)
-	_ Maintainer = (*ShardedLiveEngine)(nil)
-
-	_ Handle = (*LiveEngine)(nil)
-	_ Handle = (*ShardedLiveEngine)(nil)
-	_ Handle = (*staticHandle)(nil)
-)
+// The apidiff guard: the one handle type implements the full Handle
+// contract (and with it Searcher, Maintainer, and CachedSearcher). A
+// signature drift breaks the build right here.
+var _ Handle = (*handle)(nil)
 
 // fooddbIndex builds one fresh fooddb index (each serving engine takes
 // ownership of its index, so equivalence tests build one per topology).
@@ -53,63 +42,25 @@ func fooddbIndex(t *testing.T) (*Database, *Application, func() *Index) {
 	}
 }
 
-// TestOpenTopologySelection: the options pick the documented concrete
-// topology.
+// TestOpenTopologySelection: every Open serves the sharded topology, one
+// shard unless WithShards says otherwise.
 func TestOpenTopologySelection(t *testing.T) {
 	_, app, build := fooddbIndex(t)
-
-	h, err := Open(context.Background(), build(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.(*LiveEngine); !ok {
-		t.Errorf("default topology = %T, want *LiveEngine", h)
-	}
-	if st := h.Stats(); st.Topology != "live" || st.Shards != 1 {
-		t.Errorf("default stats = %s/%d shards", st.Topology, st.Shards)
-	}
-
-	h, err = Open(context.Background(), build(), app, WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.(*LiveEngine); !ok {
-		t.Errorf("WithShards(1) topology = %T, want *LiveEngine", h)
-	}
-
-	h, err = Open(context.Background(), build(), app, WithShards(4), WithWorkers(2), WithPostingCompaction(1, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, ok := h.(*ShardedLiveEngine)
-	if !ok {
-		t.Fatalf("WithShards(4) topology = %T, want *ShardedLiveEngine", h)
-	}
-	if se.NumShards() != 4 {
-		t.Errorf("NumShards = %d", se.NumShards())
-	}
-	if st := h.Stats(); st.Topology != "sharded" || st.Shards != 4 || len(st.PerShard) != 4 {
-		t.Errorf("sharded stats = %s/%d shards/%d per-shard", st.Topology, st.Shards, len(st.PerShard))
-	}
-
-	h, err = Open(context.Background(), build(), app, WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.(*staticHandle); !ok {
-		t.Errorf("WithReadOnly topology = %T, want the static handle", h)
-	}
-	if st := h.Stats(); st.Topology != "static" {
-		t.Errorf("static stats topology = %s", st.Topology)
-	}
-	if _, err := h.Apply(context.Background(), Delta{}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("read-only Apply err = %v, want ErrReadOnly", err)
-	}
-	if _, err := h.Recrawl(context.Background(), nil, nil); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("read-only Recrawl err = %v, want ErrReadOnly", err)
-	}
-	if _, err := h.CompactIfNeeded(context.Background(), 0.5); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("read-only CompactIfNeeded err = %v, want ErrReadOnly", err)
+	for name, tc := range map[string]struct {
+		opts   []Option
+		shards int
+	}{
+		"default":       {nil, 1},
+		"WithShards(1)": {[]Option{WithShards(1)}, 1},
+		"WithShards(4)": {[]Option{WithShards(4)}, 4},
+	} {
+		h, err := Open(context.Background(), build(), app, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := h.Stats(); st.Topology != "sharded" || st.Shards != tc.shards || len(st.PerShard) != tc.shards {
+			t.Errorf("%s: stats = %s/%d shards/%d per-shard, want sharded/%d", name, st.Topology, st.Shards, len(st.PerShard), tc.shards)
+		}
 	}
 }
 
@@ -117,12 +68,14 @@ func TestOpenTopologySelection(t *testing.T) {
 func TestOpenOptionValidation(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 	for name, opts := range map[string][]Option{
-		"shards=0":            {WithShards(0)},
-		"shards=-3":           {WithShards(-3)},
-		"candidate limit < 0": {WithCandidateLimit(-1)},
-		"compaction 0/4":      {WithPostingCompaction(0, 4)},
-		"compaction 5/4":      {WithPostingCompaction(5, 4)},
-		"readonly+sharded":    {WithReadOnly(), WithShards(3)},
+		"shards=0":                 {WithShards(0)},
+		"shards=-3":                {WithShards(-3)},
+		"empty data dir":           {WithDataDir("")},
+		"cache budget 0":           {WithResultCache(0)},
+		"admission cap < 0":        {WithAdmissionControl(AdmissionOptions{MaxInFlight: -1})},
+		"no replica URLs":          {WithReplicas()},
+		"staleness bound 0":        {WithStalenessBound(0)},
+		"replicas without durable": {WithReplicas("http://127.0.0.1:1")},
 	} {
 		if _, err := Open(context.Background(), build(), app, opts...); err == nil {
 			t.Errorf("%s: Open accepted invalid options", name)
@@ -130,41 +83,26 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 }
 
-// TestOpenEquivalence is the cross-topology contract: dash.Open with
-// WithShards(1), the deprecated NewLiveEngine/NewEngine constructors, the
-// sharded topology, and the read-only topology all return byte-identical
-// results on the fooddb corpus for a full keyword × k × s sweep.
+// TestOpenEquivalence is the cross-shard-count contract: dash.Open at the
+// default, WithShards(1), and WithShards(3) all return results
+// byte-identical to a plain engine over the unpartitioned index on the
+// fooddb corpus for a full keyword × k × s sweep.
 func TestOpenEquivalence(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 
 	ctx := context.Background()
-	reference := NewEngine(build(), app)
-	searchers := map[string]Searcher{
-		"NewLiveEngine": NewLiveEngine(build(), app),
-	}
+	reference := search.New(build(), app)
+	searchers := map[string]Searcher{}
 	for name, opts := range map[string][]Option{
-		"Open(context.Background(), default)":       nil,
-		"Open(context.Background(), WithShards(1))": {WithShards(1)},
-		"Open(context.Background(), WithShards(3))": {WithShards(3)},
-		"Open(context.Background(), WithReadOnly)":  {WithReadOnly()},
+		"Open(default)":       nil,
+		"Open(WithShards(1))": {WithShards(1)},
+		"Open(WithShards(3))": {WithShards(3)},
 	} {
 		h, err := Open(context.Background(), build(), app, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		searchers[name] = h
-	}
-
-	// FragRefs are internal identifiers, only meaningful within one
-	// snapshot — a sharded topology numbers them per shard. Equivalence is
-	// over page content: URL, scores, sizes, parameter boxes, and how many
-	// fragments each page assembled.
-	stripRefs := func(rs []Result) []Result {
-		out := append([]Result(nil), rs...)
-		for i := range out {
-			out[i].Fragments = make([]FragRef, len(out[i].Fragments))
-		}
-		return out
 	}
 
 	keywords := append(reference.Snapshot().Keywords(), "nosuchword")
@@ -186,7 +124,7 @@ func TestOpenEquivalence(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if !reflect.DeepEqual(stripRefs(got), want) {
-						t.Fatalf("%s diverges from NewEngine on %q k=%d s=%d:\n%+v\nvs\n%+v",
+						t.Fatalf("%s diverges from the unpartitioned engine on %q k=%d s=%d:\n%+v\nvs\n%+v",
 							name, kw, k, s, got, rawWant)
 					}
 					// The batch form answers each slot identically.
@@ -203,62 +141,8 @@ func TestOpenEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenCandidateLimitDefault: WithCandidateLimit is exactly a default
-// for Request.CandidateLimit — the handle answers what an explicit
-// per-request limit answers, and an explicit request limit overrides the
-// handle default.
-func TestOpenCandidateLimitDefault(t *testing.T) {
-	_, app, build := fooddbIndex(t)
-	ctx := context.Background()
-	explicit := NewEngine(build(), app)
-	limited, err := Open(context.Background(), build(), app, WithCandidateLimit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20}
-
-	want, err := explicit.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := limited.Search(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("handle default limit diverges from explicit request limit:\n%+v\nvs\n%+v", got, want)
-	}
-
-	// An explicit request-level limit wins over the handle default.
-	full, err := explicit.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	override, err := limited.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(override, full) {
-		t.Errorf("request-level limit did not override the handle default")
-	}
-
-	// A negative request limit is the explicit opt-out: full posting
-	// lists despite the handle default.
-	unlimited, err := explicit.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	optOut, err := limited.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(optOut, unlimited) {
-		t.Errorf("CandidateLimit=-1 did not opt out of the handle default:\n%+v\nvs\n%+v", optOut, unlimited)
-	}
-}
-
 // TestHandleMaintenanceCancellation: a cancelled maintenance ctx through
-// the facade publishes nothing, for both live topologies.
+// the facade publishes nothing, at one shard and at three.
 func TestHandleMaintenanceCancellation(t *testing.T) {
 	db, app, build := fooddbIndex(t)
 	for _, shards := range []int{1, 3} {

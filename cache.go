@@ -1,12 +1,11 @@
 package dash
 
-// Serving-layer result caching and admission control: the optional layer
-// Open wraps around any topology when WithResultCache and/or
-// WithAdmissionControl are given. The cache memoizes finished result
-// lists keyed by (canonical request, pinned epoch vector) — epoch-swap
-// publishes make invalidation free, and on sharded topologies the key
-// pins only the shards a query actually touches, so a publish on one
-// shard leaves hot entries for the others valid. Singleflight collapses
+// The handle's search path, with its two optional layers: the result
+// cache (WithResultCache) and admission control (WithAdmissionControl).
+// The cache memoizes finished result lists keyed by (canonical request,
+// pinned epoch vector) — epoch-swap publishes make invalidation free, and
+// the key pins only the shards a query actually touches, so a publish on
+// one shard leaves hot entries for the others valid. Singleflight collapses
 // concurrent identical misses into one search; admission control sheds
 // searches that cannot finish inside their deadline (or exceed the
 // in-flight cap) with a fast ErrOverloaded instead of queueing them to
@@ -20,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fragindex"
 	"repro/internal/search"
 )
 
@@ -51,13 +51,14 @@ const (
 	// cache.
 	CacheMiss CacheStatus = "miss"
 	// CacheBypass: no result cache is configured on the handle, or the
-	// request was shed before reaching it.
+	// request was refused or shed before reaching it.
 	CacheBypass CacheStatus = "bypass"
 )
 
-// CachedSearcher is the status-reporting search surface of handles opened
-// with WithResultCache. Plain Search/SearchBatch remain the contract;
-// these variants additionally report how each call was answered.
+// CachedSearcher is the status-reporting search surface every Handle
+// carries. Plain Search/SearchBatch remain the contract; these variants
+// additionally report how each call was answered (CacheBypass throughout
+// without WithResultCache).
 type CachedSearcher interface {
 	// SearchStatus is Search plus the cache outcome.
 	SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error)
@@ -72,8 +73,8 @@ type CachedSearcher interface {
 // responses are byte-identical to uncached ones (the key pins the exact
 // snapshot epochs the result was computed from), a publish is never
 // served stale results (a new epoch is a new key), and N concurrent
-// identical misses run one search (singleflight). The returned handle
-// additionally implements CachedSearcher.
+// identical misses run one search (singleflight). SearchStatus and
+// SearchBatchStatus report hit or miss per call.
 func WithResultCache(maxBytes int64) Option {
 	return func(c *openConfig) error {
 		if maxBytes <= 0 {
@@ -104,212 +105,103 @@ func WithAdmissionControl(opts AdmissionOptions) Option {
 	}
 }
 
-// servingCore is the snapshot-pinned search surface of one topology — the
-// three operations the cached wrapper needs that the Handle contract does
-// not expose: pin a consistent read view, run one already-normalized
-// request against it, and read the handle's request defaults. Built by
-// coreFor via type switch on Open's concrete handles.
-type servingCore struct {
-	// pin resolves the current read view, one snapshot per shard
-	// (unsharded topologies: a single-element set).
-	pin func() []*Snapshot
-	// run answers one request against a pinned view. The request must
-	// already carry the handle's CandidateLimit default: run goes
-	// straight to the engine, bypassing the handle-level fill.
-	run       func(ctx context.Context, snaps []*Snapshot, req Request) ([]Result, error)
-	workers   int
-	candLimit int
-}
-
-// coreFor extracts a servingCore from one of Open's concrete handles
-// (unwrapping the durable layer, whose search path is its inner
-// topology's).
-func coreFor(h Handle) (servingCore, bool) {
-	switch t := h.(type) {
-	case *staticHandle:
-		return servingCore{
-			pin: func() []*Snapshot { return []*Snapshot{t.engine.Snapshot()} },
-			run: func(ctx context.Context, snaps []*Snapshot, req Request) ([]Result, error) {
-				return t.engine.SearchSnapshot(ctx, snaps[0], req)
-			},
-			workers:   t.workers,
-			candLimit: t.candLimit,
-		}, true
-	case *LiveEngine:
-		return servingCore{
-			pin: func() []*Snapshot { return []*Snapshot{t.live.Snapshot()} },
-			run: func(ctx context.Context, snaps []*Snapshot, req Request) ([]Result, error) {
-				return t.engine.SearchSnapshot(ctx, snaps[0], req)
-			},
-			workers:   t.workers,
-			candLimit: t.candLimit,
-		}, true
-	case *ShardedLiveEngine:
-		return servingCore{
-			pin:       t.engine.Pin,
-			run:       t.engine.SearchPinned,
-			workers:   t.workers,
-			candLimit: t.candLimit,
-		}, true
-	case *durableHandle:
-		core, ok := coreFor(t.Handle)
-		return core, ok
-	}
-	return servingCore{}, false
-}
-
-// wrapServing layers the configured result cache and admission controller
-// over a freshly opened handle. With neither configured the handle passes
-// through untouched (so default Open keeps returning the concrete
-// topology types). The wrapper preserves exactly the inner handle's
-// optional capabilities: Queuer for the live topologies, plus
-// Checkpointer/DurabilityReporter/Closer for durable handles — a cached
-// static handle does not suddenly claim Queue/Flush.
-func wrapServing(h Handle, cfg openConfig) (Handle, error) {
-	if cfg.cacheBytes <= 0 && cfg.admission == nil {
-		return h, nil
-	}
-	core, ok := coreFor(h)
-	if !ok {
-		return nil, fmt.Errorf("dash: cannot layer a result cache over %T", h)
-	}
-	ch := cachedHandle{inner: h, core: core}
-	if cfg.cacheBytes > 0 {
-		ch.cache = search.NewResultCache(cfg.cacheBytes)
-	}
-	if cfg.admission != nil {
-		ch.ac = search.NewAdmissionController(*cfg.admission)
-	}
-	if d, ok := h.(*durableHandle); ok {
-		return &cachedDurable{cachedQueuer: cachedQueuer{cachedHandle: ch, q: d}, d: d}, nil
-	}
-	if q, ok := h.(Queuer); ok {
-		return &cachedQueuer{cachedHandle: ch, q: q}, nil
-	}
-	return &ch, nil
-}
-
-// cachedHandle implements the Handle contract over an inner topology:
-// searches go through the admission controller and result cache,
-// maintenance delegates to the inner handle and sweeps superseded cache
-// entries after every call.
-type cachedHandle struct {
-	inner Handle
-	core  servingCore
-	cache *search.ResultCache // nil: admission only
-	ac    *search.AdmissionController
-}
-
-// orBackground tolerates a nil context at the API boundary so a forgotten
-// ctx degrades to "not cancellable" instead of a panic inside the cache
-// and admission layers.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
-// Search answers through the cache (see SearchStatus).
-func (ch *cachedHandle) Search(ctx context.Context, req Request) ([]Result, error) {
-	res, _, err := ch.SearchStatus(ctx, req)
+// Search answers through the search path (see SearchStatus).
+func (h *handle) Search(ctx context.Context, req Request) ([]Result, error) {
+	res, _, err := h.SearchStatus(ctx, req)
 	return res, err
 }
 
-// SearchStatus answers one top-k query through admission control and the
-// result cache, reporting how. The returned slice may be shared with
-// other cache readers: treat it as immutable.
-func (ch *cachedHandle) SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error) {
+// SearchStatus answers one top-k query, reporting how: a replica first
+// refuses a MinEpoch it has not applied, then admission control, the
+// result cache, one pin of every shard, and the scatter-gather run. The
+// returned slice may be shared with other cache readers: treat it as
+// immutable.
+func (h *handle) SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error) {
 	ctx = orBackground(ctx)
-	if ch.ac != nil {
-		deadline, ok := ctx.Deadline()
-		release, err := ch.ac.Admit(deadline, ok)
-		if err != nil {
-			return nil, CacheBypass, err
-		}
-		defer release()
+	if err := h.behind(req); err != nil {
+		return nil, CacheBypass, err
 	}
-	// Fill the handle default before normalizing: normalization folds the
-	// explicit-unlimited negative spelling to 0, which the fill must not
-	// then overwrite.
-	req = search.NormalizeRequest(fillCandidateLimit(req, ch.core.candLimit))
-	if ch.cache == nil {
-		res, err := ch.runObserved(ctx, ch.core.pin(), req)
+	release, err := h.admit(ctx)
+	if err != nil {
+		return nil, CacheBypass, err
+	}
+	defer release()
+	if h.cache == nil {
+		res, err := h.run(ctx, h.engine.Pin(), req)
 		return res, CacheBypass, err
 	}
-	snaps := ch.core.pin()
+	return h.cached(ctx, h.engine.Pin(), req)
+}
+
+// cached answers one request through the result cache against a pinned
+// view, reporting hit or miss.
+func (h *handle) cached(ctx context.Context, snaps []*fragindex.Snapshot, req Request) ([]Result, CacheStatus, error) {
+	req = search.NormalizeRequest(req)
 	pins := search.PinEpochs(nil, snaps, req.Keywords)
-	key := search.CacheKey(req, pins)
-	res, outcome, err := ch.cache.Do(ctx, key, pins, func(ctx context.Context) ([]Result, error) {
-		return ch.runObserved(ctx, snaps, req)
+	res, outcome, err := h.cache.Do(ctx, search.CacheKey(req, pins), pins, func(ctx context.Context) ([]Result, error) {
+		return h.run(ctx, snaps, req)
 	})
-	if err != nil {
-		return nil, CacheMiss, err
-	}
-	if outcome == search.CacheMiss {
-		return res, CacheMiss, nil
+	if err != nil || outcome == search.CacheMiss {
+		return res, CacheMiss, err
 	}
 	return res, CacheHit, nil
 }
 
-// runObserved runs one uncached search and feeds its wall time to the
-// admission cost estimator.
-func (ch *cachedHandle) runObserved(ctx context.Context, snaps []*Snapshot, req Request) ([]Result, error) {
+// admit takes an admission slot for one search or batch; without
+// admission control every call is admitted.
+func (h *handle) admit(ctx context.Context) (release func(), err error) {
+	if h.ac == nil {
+		return func() {}, nil
+	}
+	deadline, ok := ctx.Deadline()
+	return h.ac.Admit(deadline, ok)
+}
+
+// run answers one request against a pinned view and, under admission
+// control, feeds its wall time to the cost estimator.
+func (h *handle) run(ctx context.Context, snaps []*fragindex.Snapshot, req Request) ([]Result, error) {
 	start := time.Now()
-	res, err := ch.core.run(ctx, snaps, req)
-	if err == nil && ch.ac != nil {
-		ch.ac.Observe(time.Since(start))
+	res, err := h.engine.SearchPinned(ctx, snaps, req)
+	if err == nil && h.ac != nil {
+		h.ac.Observe(time.Since(start))
 	}
 	return res, err
 }
 
-// SearchBatch answers through the cache (see SearchBatchStatus).
-func (ch *cachedHandle) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	out, _ := ch.SearchBatchStatus(ctx, reqs)
+// SearchBatch answers a batch (see SearchBatchStatus).
+func (h *handle) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
+	out, _ := h.SearchBatchStatus(ctx, reqs)
 	return out
 }
 
-// SearchBatchStatus evaluates a batch through the cache: the whole batch
-// pins one read view (every request observes the same index state, the
-// SearchBatch contract), each request resolves its own cache entry, and
-// misses fan out over the handle's worker pool. Admission is per batch —
-// one admitted batch holds one in-flight slot, and a shed batch fails
-// every slot with ErrOverloaded.
-func (ch *cachedHandle) SearchBatchStatus(ctx context.Context, reqs []Request) ([]BatchResult, CacheStatus) {
+// SearchBatchStatus evaluates a batch over one pinned view (every request
+// observes the same index state, the SearchBatch contract) on a
+// GOMAXPROCS-bounded worker pool; each request takes the single-search
+// path from the cache on. Admission is per batch — one admitted batch
+// holds one in-flight slot, and a shed batch fails every slot with
+// ErrOverloaded. The status is CacheHit when every request was answered
+// from the cache, CacheMiss when any ran a search.
+func (h *handle) SearchBatchStatus(ctx context.Context, reqs []Request) ([]BatchResult, CacheStatus) {
 	ctx = orBackground(ctx)
 	out := make([]BatchResult, len(reqs))
 	status := CacheBypass
-	if ch.cache != nil {
+	if h.cache != nil {
 		status = CacheHit
 	}
 	if len(reqs) == 0 {
 		return out, status
 	}
-	if ch.ac != nil {
-		deadline, ok := ctx.Deadline()
-		release, err := ch.ac.Admit(deadline, ok)
-		if err != nil {
-			for i := range out {
-				out[i].Err = err
-			}
-			return out, CacheBypass
+	release, err := h.admit(ctx)
+	if err != nil {
+		for i := range out {
+			out[i].Err = err
 		}
-		defer release()
+		return out, CacheBypass
 	}
-	if ch.cache == nil {
-		// Admission-only wrapper: the inner handle's batch path already
-		// pins once and fans out.
-		return ch.inner.SearchBatch(ctx, reqs), CacheBypass
-	}
-	snaps := ch.core.pin()
+	defer release()
+	snaps := h.engine.Pin()
 	var mu sync.Mutex // guards status demotion across workers
-	workers := ch.core.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(reqs))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -321,14 +213,17 @@ func (ch *cachedHandle) SearchBatchStatus(ctx context.Context, reqs []Request) (
 					out[i].Err = err
 					continue
 				}
-				req := search.NormalizeRequest(fillCandidateLimit(reqs[i], ch.core.candLimit))
-				pins := search.PinEpochs(nil, snaps, req.Keywords)
-				key := search.CacheKey(req, pins)
-				res, outcome, err := ch.cache.Do(ctx, key, pins, func(ctx context.Context) ([]Result, error) {
-					return ch.runObserved(ctx, snaps, req)
-				})
-				out[i].Results, out[i].Err = res, err
-				if outcome == search.CacheMiss {
+				if err := h.behind(reqs[i]); err != nil {
+					out[i].Err = err
+					continue
+				}
+				if h.cache == nil {
+					out[i].Results, out[i].Err = h.run(ctx, snaps, reqs[i])
+					continue
+				}
+				var st CacheStatus
+				out[i].Results, st, out[i].Err = h.cached(ctx, snaps, reqs[i])
+				if st == CacheMiss {
 					mu.Lock()
 					status = CacheMiss
 					mu.Unlock()
@@ -344,108 +239,18 @@ func (ch *cachedHandle) SearchBatchStatus(ctx context.Context, reqs []Request) (
 	return out, status
 }
 
-// Stats reports the inner topology's serving stats with the cache and
-// admission counters attached.
-func (ch *cachedHandle) Stats() EngineStats {
-	st := ch.inner.Stats()
-	if ch.cache != nil {
-		cs := ch.cache.Stats()
-		st.Cache = &cs
-	}
-	if ch.ac != nil {
-		as := ch.ac.Stats()
-		st.Admission = &as
-	}
-	return st
-}
-
 // sweep drops cache entries pinning epochs the current read view has
 // superseded. Run after every maintenance call; correctness never depends
 // on it (a superseded epoch can never reappear in a lookup key), it just
 // returns the capacity early.
-func (ch *cachedHandle) sweep() {
-	if ch.cache == nil {
+func (h *handle) sweep() {
+	if h.cache == nil {
 		return
 	}
-	snaps := ch.core.pin()
+	snaps := h.engine.Pin()
 	epochs := make([]uint64, len(snaps))
 	for i, s := range snaps {
 		epochs[i] = s.Epoch()
 	}
-	ch.cache.Sweep(epochs)
+	h.cache.Sweep(epochs)
 }
-
-// Maintenance: delegate, then sweep. The sweep runs whether or not the
-// call succeeded — a batched apply can have published on some shards
-// before failing on another.
-
-func (ch *cachedHandle) Apply(ctx context.Context, d Delta) (ApplyReport, error) {
-	rep, err := ch.inner.Apply(ctx, d)
-	ch.sweep()
-	return rep, err
-}
-
-func (ch *cachedHandle) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error) {
-	rep, err := ch.inner.ApplyBatch(ctx, ds)
-	ch.sweep()
-	return rep, err
-}
-
-func (ch *cachedHandle) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
-	rep, err := ch.inner.Recrawl(ctx, db, ids)
-	ch.sweep()
-	return rep, err
-}
-
-func (ch *cachedHandle) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
-	rep, err := ch.inner.RecrawlWith(ctx, db, ids, extra)
-	ch.sweep()
-	return rep, err
-}
-
-func (ch *cachedHandle) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
-	rep, err := ch.inner.RecrawlBatch(ctx, db, ids, ds)
-	ch.sweep()
-	return rep, err
-}
-
-func (ch *cachedHandle) CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error) {
-	n, err := ch.inner.CompactIfNeeded(ctx, maxDeadRatio)
-	ch.sweep()
-	return n, err
-}
-
-// cachedQueuer adds the Queuer capability when the inner handle has it
-// (the live topologies and durable handles).
-type cachedQueuer struct {
-	cachedHandle
-	q Queuer
-}
-
-// Queue buffers a delta on the inner handle; nothing publishes, so the
-// cache needs no sweep yet.
-func (cq *cachedQueuer) Queue(d Delta) int { return cq.q.Queue(d) }
-
-// Flush publishes the queued batch and sweeps superseded cache entries.
-func (cq *cachedQueuer) Flush(ctx context.Context) (ApplyReport, error) {
-	rep, err := cq.q.Flush(ctx)
-	cq.sweep()
-	return rep, err
-}
-
-// cachedDurable adds the durable capabilities (Checkpointer,
-// DurabilityReporter, io.Closer) when wrapping a durable handle.
-type cachedDurable struct {
-	cachedQueuer
-	d *durableHandle
-}
-
-func (cd *cachedDurable) Checkpoint(ctx context.Context) error { return cd.d.Checkpoint(ctx) }
-
-func (cd *cachedDurable) DurabilityStats() DurabilityStats { return cd.d.DurabilityStats() }
-
-func (cd *cachedDurable) DurabilityState() DurabilityState { return cd.d.DurabilityState() }
-
-func (cd *cachedDurable) DurabilityProbeIn() time.Duration { return cd.d.DurabilityProbeIn() }
-
-func (cd *cachedDurable) Close() error { return cd.d.Close() }

@@ -1,70 +1,40 @@
 package dash
 
 // Tests for the serving-layer result cache and admission control: cached
-// responses are byte-identical to uncached ones on every topology, a
-// publish is never served stale results, the wrapper preserves exactly
-// the inner handle's capability set, and shed requests surface
-// ErrOverloaded.
+// responses are byte-identical to uncached ones at any shard count, a
+// publish is never served stale results, absent layers answer
+// explicitly, and shed requests surface ErrOverloaded.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
-// Compile-time capability coverage for the cached wrappers.
-var (
-	_ Handle         = (*cachedHandle)(nil)
-	_ CachedSearcher = (*cachedHandle)(nil)
-	_ Handle         = (*cachedQueuer)(nil)
-	_ Queuer         = (*cachedQueuer)(nil)
-	_ Handle         = (*cachedDurable)(nil)
-	_ Queuer         = (*cachedDurable)(nil)
-	_ Checkpointer   = (*cachedDurable)(nil)
-	_ io.Closer      = (*cachedDurable)(nil)
-
-	_ DurabilityReporter = (*cachedDurable)(nil)
-)
-
-// stripFragRefs blanks the snapshot-internal fragment identifiers so
-// result comparison is over page content (the equivalence-test idiom —
-// sharded topologies number refs per shard).
-func stripFragRefs(rs []Result) []Result {
-	out := append([]Result(nil), rs...)
-	for i := range out {
-		out[i].Fragments = make([]FragRef, len(out[i].Fragments))
-	}
-	return out
-}
-
-// TestCachedResponsesByteIdentical is the tentpole property: on every
-// topology, a handle opened with WithResultCache answers exactly what the
-// same handle answers without it — on the miss that populates the cache
+// TestCachedResponsesByteIdentical is the tentpole property: at one shard
+// and at three, a handle opened with WithResultCache answers exactly what
+// a plain engine over the unpartitioned index answers — on the miss that populates the cache
 // AND on the hit served from it — across a keyword × k × s sweep.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 	ctx := context.Background()
-	reference := NewEngine(build(), app)
+	reference := search.New(build(), app)
 
 	for name, opts := range map[string][]Option{
-		"live":    nil,
-		"sharded": {WithShards(3)},
-		"static":  {WithReadOnly()},
+		"shards=1": nil,
+		"shards=3": {WithShards(3)},
 	} {
 		h, err := Open(context.Background(), build(), app, append([]Option{WithResultCache(1 << 20)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, ok := h.(CachedSearcher)
-		if !ok {
-			t.Fatalf("%s: WithResultCache handle %T does not implement CachedSearcher", name, h)
-		}
+		cs := h
 		keywords := append(reference.Snapshot().Keywords(), "nosuchword")
 		for _, kw := range keywords {
 			for _, k := range []int{1, 3} {
@@ -84,7 +54,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 				if st1 != CacheMiss || st2 != CacheHit {
 					t.Fatalf("%s %q: statuses %s/%s, want miss/hit", name, kw, st1, st2)
 				}
-				if !reflect.DeepEqual(stripFragRefs(miss), stripFragRefs(want)) {
+				if !reflect.DeepEqual(stripRefs(miss), stripRefs(want)) {
 					t.Fatalf("%s %q k=%d: uncached-path divergence:\n%+v\nvs\n%+v", name, kw, k, miss, want)
 				}
 				if !reflect.DeepEqual(hit, miss) {
@@ -114,7 +84,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 				t.Fatalf("%s batch errs: %v / %v", name, b1[i].Err, b2[i].Err)
 			}
 			want, _ := reference.Search(ctx, reqs[i])
-			if !reflect.DeepEqual(stripFragRefs(b1[i].Results), stripFragRefs(want)) ||
+			if !reflect.DeepEqual(stripRefs(b1[i].Results), stripRefs(want)) ||
 				!reflect.DeepEqual(b1[i].Results, b2[i].Results) {
 				t.Fatalf("%s batch slot %d diverges", name, i)
 			}
@@ -153,7 +123,7 @@ func TestCacheCrossEpochStaleness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := h.(CachedSearcher)
+		cs := h
 		req := Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20}
 
 		before, st1, err := cs.SearchStatus(ctx, req)
@@ -227,7 +197,7 @@ func TestCachePerShardPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := h.(CachedSearcher)
+	cs := h
 
 	// Plant two synthetic fragments with unique keywords in groups that
 	// route to different shards (found by probing which shard's epoch each
@@ -291,80 +261,70 @@ func TestCachePerShardPrecision(t *testing.T) {
 	}
 }
 
-// TestCachedHandleCapabilities: the wrapper claims exactly the inner
-// handle's optional interfaces — no Queuer on static, the full durable
-// set on durable — and plain Open (no cache, no admission) keeps
-// returning the unwrapped concrete types.
+// TestCachedHandleCapabilities: every handle carries the whole Handle
+// method set, and an absent layer answers explicitly — an uncached
+// in-memory handle reports CacheBypass, no durability, no replication,
+// and no route — while a cached durable handle answers all of them.
 func TestCachedHandleCapabilities(t *testing.T) {
 	_, app, build := fooddbIndex(t)
-
-	plain, err := Open(context.Background(), build(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain.(CachedSearcher); ok {
-		t.Error("uncached handle claims CachedSearcher")
-	}
-	if _, ok := plain.(*LiveEngine); !ok {
-		t.Errorf("default Open = %T, want unwrapped *LiveEngine", plain)
-	}
-
-	static, err := Open(context.Background(), build(), app, WithReadOnly(), WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := static.(Queuer); ok {
-		t.Error("cached static handle claims Queuer")
-	}
-	if _, ok := static.(CachedSearcher); !ok {
-		t.Error("cached static handle lacks CachedSearcher")
-	}
-	if _, err := static.Apply(context.Background(), Delta{}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("cached static Apply err = %v, want ErrReadOnly", err)
-	}
-
-	live, err := Open(context.Background(), build(), app, WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := live.(Queuer); !ok {
-		t.Error("cached live handle lost Queuer")
-	}
-	if _, ok := live.(Checkpointer); ok {
-		t.Error("cached in-memory handle claims Checkpointer")
-	}
-
-	dir := t.TempDir()
-	durable, err := Open(context.Background(), build(), app, WithDataDir(dir), WithShards(2), WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := durable.(Queuer); !ok {
-		t.Error("cached durable handle lost Queuer")
-	}
-	if _, ok := durable.(Checkpointer); !ok {
-		t.Error("cached durable handle lost Checkpointer")
-	}
-	dr, ok := durable.(DurabilityReporter)
-	if !ok {
-		t.Fatal("cached durable handle lost DurabilityReporter")
-	}
-	if ds := dr.DurabilityStats(); ds.Shards != 2 {
-		t.Errorf("durability stats through the wrapper: %+v", ds)
-	}
-	cs, ok := durable.(CachedSearcher)
-	if !ok {
-		t.Fatal("cached durable handle lacks CachedSearcher")
-	}
 	ctx := context.Background()
 	req := Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}
-	if _, st, err := cs.SearchStatus(ctx, req); err != nil || st != CacheMiss {
+
+	plain, err := Open(ctx, build(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := plain.SearchStatus(ctx, req); err != nil || st != CacheBypass {
+		t.Errorf("uncached search: %s, %v, want bypass", st, err)
+	}
+	if _, st := plain.SearchBatchStatus(ctx, []Request{req}); st != CacheBypass {
+		t.Errorf("uncached batch: %s, want bypass", st)
+	}
+	if err := plain.Checkpoint(ctx); !errors.Is(err, ErrNotDurable) {
+		t.Errorf("in-memory Checkpoint err = %v, want ErrNotDurable", err)
+	}
+	if plain.DurabilityStats() != nil || plain.DurabilityState() != "" || plain.DurabilityProbeIn() != 0 {
+		t.Error("in-memory handle reports durability")
+	}
+	if plain.ReplicationHandler() != nil || plain.ReplicationStats() != nil {
+		t.Error("in-memory handle reports replication")
+	}
+	if target, proxy := plain.RouteSearch(req); target != "" || proxy {
+		t.Errorf("in-memory RouteSearch = %q, %v", target, proxy)
+	}
+	if n, err := plain.Queue(Delta{}); err != nil || n != 1 {
+		t.Errorf("in-memory Queue = %d, %v", n, err)
+	}
+	if err := plain.Close(); err != nil {
+		t.Errorf("in-memory Close: %v", err)
+	}
+
+	durable, err := Open(ctx, build(), app, WithDataDir(t.TempDir()), WithShards(2), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := durable.Queue(Delta{}); err != nil || n != 1 {
+		t.Errorf("cached durable Queue = %d, %v", n, err)
+	}
+	if err := durable.Checkpoint(ctx); err != nil {
+		t.Errorf("cached durable Checkpoint: %v", err)
+	}
+	if ds := durable.DurabilityStats(); ds == nil || ds.Shards != 2 {
+		t.Errorf("durability stats through the cache layer: %+v", ds)
+	}
+	if durable.DurabilityState() != DurabilityHealthy {
+		t.Errorf("durability state = %q", durable.DurabilityState())
+	}
+	if durable.ReplicationHandler() == nil {
+		t.Error("durable leader serves no replication transport")
+	}
+	if _, st, err := durable.SearchStatus(ctx, req); err != nil || st != CacheMiss {
 		t.Fatalf("durable cached search: %s, %v", st, err)
 	}
-	if _, st, err := cs.SearchStatus(ctx, req); err != nil || st != CacheHit {
+	if _, st, err := durable.SearchStatus(ctx, req); err != nil || st != CacheHit {
 		t.Fatalf("durable cached repeat: %s, %v", st, err)
 	}
-	if err := durable.(io.Closer).Close(); err != nil {
+	if err := durable.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -66,7 +66,7 @@ func testFaultServer(t *testing.T, extra ...dash.Option) (http.Handler, *server,
 // engine trips to degraded.
 func degradeEngine(t *testing.T, h dash.Handle, inj *faultfs.Injector) {
 	t.Helper()
-	health := h.(dash.DurabilityHealth)
+	health := h
 	inj.Break(nil)
 	d := dash.Delta{Changes: []dash.FragmentChange{{
 		Op: dash.OpUpdateFragment, ID: dash.FragmentID{relation.String("American"), relation.Int(10)},
@@ -99,7 +99,7 @@ func bodyStatus(t *testing.T, rec *httptest.ResponseRecorder) string {
 // ready again after recovery, and 503 shutting_down once draining.
 func TestHealthzReadyzLifecycle(t *testing.T) {
 	mux, srv, engine, inj := testFaultServer(t)
-	health := engine.(dash.DurabilityHealth)
+	health := engine
 
 	if rec := get(t, mux, "/v1/healthz"); rec.Code != http.StatusOK || bodyStatus(t, rec) != "ok" {
 		t.Fatalf("healthz: %d %q", rec.Code, rec.Body.String())
@@ -154,7 +154,7 @@ func TestHealthzReadyzLifecycle(t *testing.T) {
 // recovery restores the write path.
 func TestDegradedWritesOverHTTP(t *testing.T) {
 	mux, _, engine, inj := testFaultServer(t)
-	health := engine.(dash.DurabilityHealth)
+	health := engine
 	degradeEngine(t, engine, inj)
 
 	// Reads keep serving from published snapshots.

@@ -32,11 +32,8 @@
 // -search-timeout is the server ceiling, ?timeout_ms= may shrink a
 // request's budget below it (never raise it) — and
 // the engine stops cooperatively when it fires, so a runaway hot-keyword
-// query cannot hold the connection past its budget.
-//
-// The pre-/v1 routes (/search, /batch, /admin/stats, /admin/apply) remain
-// as thin delegates to the same handlers and answer with a
-// "Deprecation: true" header plus a Link to their successor.
+// query cannot hold the connection past its budget. The unversioned
+// pre-/v1 routes are gone: every JSON endpoint lives under /v1.
 //
 // # Serving under load
 //
@@ -64,10 +61,15 @@
 // goroutine periodically garbage-collects tombstoned refs by publishing a
 // compacted snapshot once enough removals accumulate.
 //
-// The index is served through dash.Open — the engine behind the handlers is
-// the portable Searcher/Maintainer contract, so the handlers never name a
-// topology: -shards N picks the sharded engine (default 1, the single live
-// index), and /v1/admin/stats reports whichever shape is serving.
+// The index is served through dash.Open as one topology: the fragment
+// space partitioned by equality-group key across -shards N shards
+// (default 1). The flags below add optional layers to that one handle —
+// -cache-bytes a result cache, -max-inflight admission control, -data-dir
+// a durable store, -replicas a read router, -replica-of a journal tail in
+// place of the write path — and the handlers only ever call the
+// dash.Handle contract, whose methods answer for an absent layer
+// explicitly. /v1/admin/stats reports the shards (per_shard) plus one
+// block per present layer.
 //
 // # Durable serving
 //
@@ -118,7 +120,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -217,11 +218,12 @@ func run(args []string) error {
 			return err
 		}
 	} else {
-		// The handlers only ever see the Searcher/Maintainer contract; the
-		// shard count is a construction-time concern. With -data-dir an
-		// initialized directory recovers the persisted index — no crawl at all,
-		// and its committed shard count pins the topology unless -shards
-		// explicitly disagrees (which is an error, not a silent repartition).
+		// The handlers only ever see the dash.Handle contract; the shard
+		// count and the layers are construction-time concerns. With
+		// -data-dir an initialized directory recovers the persisted index —
+		// no crawl at all — and its committed shard count wins unless
+		// -shards explicitly disagrees (which is an error, not a silent
+		// repartition).
 		var opts []dash.Option
 		recovering := *dataDir != "" && dash.IsInitialized(*dataDir)
 		if !recovering || shardsSet {
@@ -267,20 +269,16 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if closer, ok := engine.(io.Closer); ok {
-		// Closing a durable engine flushes unsynced journal appends; an
-		// error here means acknowledged applies may not have reached disk.
-		defer func() {
-			if err := closer.Close(); err != nil {
-				log.Printf("engine close: %v", err)
-			}
-		}()
-	}
+	// Closing a durable engine flushes unsynced journal appends; an error
+	// here means acknowledged applies may not have reached disk.
+	defer func() {
+		if err := engine.Close(); err != nil {
+			log.Printf("engine close: %v", err)
+		}
+	}()
 	st := engine.Stats()
-	log.Printf("index ready: %d fragments, topology %s over %d shard(s)",
-		st.Fragments, st.Topology, st.Shards)
-	if dr, ok := engine.(dash.DurabilityReporter); ok {
-		ds := dr.DurabilityStats()
+	log.Printf("index ready: %d fragments over %d shard(s)", st.Fragments, st.Shards)
+	if ds := engine.DurabilityStats(); ds != nil {
 		if ds.Recovered {
 			for _, ri := range ds.Recovery {
 				log.Printf("recovery: shard %d at epoch %d (snapshot %d, %d journal records replayed, fallback=%v, truncated_tail=%v)",

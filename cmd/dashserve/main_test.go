@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +11,6 @@ import (
 
 	dash "repro"
 	"repro/internal/harness"
-	"repro/internal/relation"
 )
 
 // testMux builds the full handler surface over the fooddb dataset, the
@@ -228,39 +226,29 @@ func TestRequestContextClamp(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesDelegate: the pre-/v1 routes answer byte-identical
-// payloads through the same handlers and carry the deprecation headers.
-func TestLegacyRoutesDelegate(t *testing.T) {
+// TestLegacyRoutesRemoved: the unversioned pre-/v1 routes are gone and
+// answer the structured 404 like any other unknown path.
+func TestLegacyRoutesRemoved(t *testing.T) {
 	mux, _ := testMux(t)
-	for _, route := range []struct{ legacy, v1 string }{
-		{"/search?q=burger&k=2&s=20", "/v1/search?q=burger&k=2&s=20"},
-		{"/batch?q=burger&q=coffee&k=3", "/v1/search:batch?q=burger&q=coffee&k=3"},
-		{"/admin/stats", "/v1/admin/stats"},
-	} {
-		legacy := get(t, mux, route.legacy)
-		v1 := get(t, mux, route.v1)
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%s/%s: status %d/%d", route.legacy, route.v1, legacy.Code, v1.Code)
-		}
-		if legacy.Body.String() != v1.Body.String() {
-			t.Errorf("%s and %s disagree:\n%s\nvs\n%s",
-				route.legacy, route.v1, legacy.Body.String(), v1.Body.String())
-		}
-		if legacy.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", route.legacy)
-		}
-		if link := legacy.Header().Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Errorf("%s: Link header = %q", route.legacy, link)
-		}
-		if v1.Header().Get("Deprecation") != "" {
-			t.Errorf("%s: v1 route carries Deprecation", route.v1)
+	for _, route := range []string{"/search?q=burger&k=2&s=20", "/batch?q=burger&q=coffee&k=3", "/admin/stats"} {
+		if rec := get(t, mux, route); rec.Code != http.StatusNotFound || errorCode(t, rec) != "not_found" {
+			t.Errorf("%s: status %d, body %q, want 404 not_found", route, rec.Code, rec.Body.String())
 		}
 	}
-	// The legacy apply route delegates too (checked separately: POST).
-	rec := postJSON(t, mux, "/admin/apply", "{}")
-	if rec.Code != http.StatusUnprocessableEntity || rec.Header().Get("Deprecation") != "true" {
-		t.Errorf("legacy apply: status %d, Deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
+	if rec := postJSON(t, mux, "/admin/apply", "{}"); rec.Code != http.StatusNotFound {
+		t.Errorf("/admin/apply: status %d, want 404", rec.Code)
 	}
+}
+
+// herringServed reports whether the handle serves any page for "herring"
+// — a term only the tests' inserted Nordic fragment carries.
+func herringServed(t *testing.T, h dash.Handle) bool {
+	t.Helper()
+	rs, err := h.Search(context.Background(), dash.Request{Keywords: []string{"herring"}, K: 1, SizeThreshold: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rs) > 0
 }
 
 // TestV1BatchHandler covers the JSON batch endpoint, including parameter
@@ -367,7 +355,7 @@ func TestV1ApplyHandler(t *testing.T) {
 	if after.Publishes != mid.Publishes+1 {
 		t.Errorf("batch publishes %d -> %d, want +1", mid.Publishes, after.Publishes)
 	}
-	if engine.(*dash.ShardedLiveEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
+	if herringServed(t, engine) {
 		t.Error("cancelled insert reached the index")
 	}
 }
@@ -485,7 +473,7 @@ func TestV1ApplyQueueFlush(t *testing.T) {
 	if mid.Publishes != before.Publishes || mid.Queued != 2 {
 		t.Errorf("after queueing: publishes %d->%d, queued %d", before.Publishes, mid.Publishes, mid.Queued)
 	}
-	if engine.(*dash.ShardedLiveEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
+	if herringServed(t, engine) {
 		t.Error("queued insert reached the served index before flush")
 	}
 
@@ -517,7 +505,7 @@ func TestV1ApplyQueueFlush(t *testing.T) {
 	if after.Queued != 0 {
 		t.Errorf("post-flush queued = %d, want 0", after.Queued)
 	}
-	if !engine.(*dash.ShardedLiveEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
+	if !herringServed(t, engine) {
 		t.Error("flushed insert missing from the served index")
 	}
 }
@@ -541,7 +529,7 @@ func durableMux(t *testing.T) (http.Handler, dash.Handle) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { engine.(io.Closer).Close() })
+	t.Cleanup(func() { engine.Close() })
 	mux, _ := newMux(engine, app, db, bound.SelAttrKinds(), serveConfig{searchTimeout: 5 * time.Second})
 	return mux, engine
 }

@@ -40,7 +40,7 @@ func leaderAndReplicaMux(t *testing.T, shards int) (leaderMux http.Handler, repl
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { leaderEng.(interface{ Close() error }).Close() })
+	t.Cleanup(func() { leaderEng.Close() })
 	leaderMux, _ = newMux(leaderEng, app, db, bound0.SelAttrKinds(), serveConfig{searchTimeout: 5 * time.Second})
 	srv := httptest.NewServer(leaderMux)
 	t.Cleanup(srv.Close)

@@ -1,8 +1,7 @@
 package main
 
 // server.go is dashserve's HTTP surface: the versioned /v1 JSON API over
-// the dash.Handle contract, the deprecated unversioned delegates, and the
-// human-facing HTML demo page at /.
+// the dash.Handle contract and the human-facing HTML demo page at /.
 
 import (
 	"context"
@@ -41,17 +40,16 @@ type serveConfig struct {
 }
 
 // server binds the handlers to the serving contract. Handlers only ever
-// use dash.Handle — Searcher for reads, Maintainer for admin writes — so
-// the surface is identical whatever topology Open picked. health is the
-// handle's cheap durability-state surface (nil for non-durable handles);
-// draining flips readiness off for the graceful-shutdown window.
+// use dash.Handle — its method set answers for every optional layer
+// (durability, replication, routing, cache), so the surface never asks
+// which layers the handle was opened with. draining flips readiness off
+// for the graceful-shutdown window.
 type server struct {
 	eng      dash.Handle
 	app      *webapp.Application
 	db       *dash.Database
 	kinds    []relation.Kind
 	cfg      serveConfig
-	health   dash.DurabilityHealth
 	draining atomic.Bool
 }
 
@@ -62,9 +60,6 @@ type server struct {
 // flips when shutdown begins.
 func newMux(eng dash.Handle, app *webapp.Application, db *dash.Database, kinds []relation.Kind, cfg serveConfig) (http.Handler, *server) {
 	s := &server{eng: eng, app: app, db: db, kinds: kinds, cfg: cfg}
-	if dh, ok := eng.(dash.DurabilityHealth); ok {
-		s.health = dh
-	}
 	mux := http.NewServeMux()
 	mux.Handle("/app", app.Handler())
 	if cfg.withPprof {
@@ -83,40 +78,17 @@ func newMux(eng dash.Handle, app *webapp.Application, db *dash.Database, kinds [
 	mux.HandleFunc("/v1/healthz", s.v1Healthz)
 	mux.HandleFunc("/v1/readyz", s.v1Readyz)
 
-	// Durable handles expose the replication transport replicas bootstrap
+	// Durable leaders expose the replication transport replicas bootstrap
 	// from and tail (snapshot manifest + ranged fetch + journal long-poll).
-	if rep, ok := eng.(dash.Replicable); ok {
-		mux.Handle(dash.ReplicationPrefix+"/",
-			http.StripPrefix(dash.ReplicationPrefix, rep.ReplicationHandler()))
+	if rh := eng.ReplicationHandler(); rh != nil {
+		mux.Handle(dash.ReplicationPrefix+"/", http.StripPrefix(dash.ReplicationPrefix, rh))
 	}
-
-	// Pre-/v1 routes delegate to the same handlers under a deprecation
-	// header: existing JSON clients keep working byte-for-byte and see
-	// where to migrate. One deliberate break, per the API redesign:
-	// /search now answers the same JSON as /v1/search — the HTML demo it
-	// used to render lives at / instead — and /batch lost its top-level
-	// "elapsed" field (timing moved to the X-Elapsed header so bodies are
-	// deterministic).
-	mux.HandleFunc("/search", deprecated(s.v1Search, "/v1/search"))
-	mux.HandleFunc("/batch", deprecated(s.v1SearchBatch, "/v1/search:batch"))
-	mux.HandleFunc("/admin/stats", deprecated(s.v1AdminStats, "/v1/admin/stats"))
-	mux.HandleFunc("/admin/apply", deprecated(s.v1AdminApply, "/v1/admin/apply"))
 
 	// The human demo page.
 	mux.HandleFunc("/", s.home)
 
 	return withRequestMiddleware(mux, newClientLimiter(cfg.perClientInFlight),
 		s.durabilityState, s.overloadRetryAfter), s
-}
-
-// deprecated marks a legacy route: same handler, plus the standard
-// deprecation headers pointing at the successor.
-func deprecated(h http.HandlerFunc, successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // errorBody is the /v1 structured error envelope.
@@ -287,11 +259,10 @@ var proxyClient = &http.Client{}
 // leader, routing leaders place eligible reads on a qualifying replica.
 // Requests already forwarded once are always served locally.
 func (s *server) routeSearch(r *http.Request, req dash.Request) (string, bool) {
-	rt, ok := s.eng.(dash.SearchRouter)
-	if !ok || r.Header.Get(hdrForwarded) != "" {
+	if r.Header.Get(hdrForwarded) != "" {
 		return "", false
 	}
-	return rt.RouteSearch(req)
+	return s.eng.RouteSearch(req)
 }
 
 // forwardSearch re-issues the request against target and streams the
@@ -330,8 +301,10 @@ func (s *server) forwardSearch(w http.ResponseWriter, r *http.Request, target st
 
 // v1Search answers GET /v1/search?q=…&k=…&s=…&limit=…&timeout_ms=….
 // The response body is deterministic for a given index state (timing goes
-// to the X-Elapsed header), so the legacy delegate answers byte-identical
-// payloads.
+// to the X-Elapsed header), so routed and local answers are
+// byte-identical. The X-Cache header reports hit/miss behind a result
+// cache and "bypass" otherwise, so a client can tell "no cache
+// configured" from "missed".
 func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
 	queries, base, err := searchParams(r)
 	if err != nil {
@@ -353,7 +326,7 @@ func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	results, status, err := s.search(ctx, base)
+	results, status, err := s.eng.SearchStatus(ctx, base)
 	w.Header().Set("X-Cache", string(status))
 	if err != nil {
 		s.writeEngineError(w, err)
@@ -367,31 +340,11 @@ func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// search runs one query through the handle, reporting the cache outcome:
-// handles opened with a result cache answer hit/miss per request, others
-// always "bypass" — so the X-Cache header is present either way and a
-// client can tell "no cache configured" from "missed".
-func (s *server) search(ctx context.Context, req dash.Request) ([]dash.Result, dash.CacheStatus, error) {
-	if cs, ok := s.eng.(dash.CachedSearcher); ok {
-		return cs.SearchStatus(ctx, req)
-	}
-	results, err := s.eng.Search(ctx, req)
-	return results, dash.CacheBypass, err
-}
-
-// searchBatch is search's batch form; the aggregate status is "hit" only
-// when every entry was answered from the cache.
-func (s *server) searchBatch(ctx context.Context, reqs []dash.Request) ([]dash.BatchResult, dash.CacheStatus) {
-	if cs, ok := s.eng.(dash.CachedSearcher); ok {
-		return cs.SearchBatchStatus(ctx, reqs)
-	}
-	return s.eng.SearchBatch(ctx, reqs), dash.CacheBypass
-}
-
 // v1SearchBatch answers GET /v1/search:batch?q=…&q=…&k=…&s=… — every q is
 // one search, all pinned to the same index state via SearchBatch. Per-query
 // engine failures are reported per entry; a request-level cancellation or
-// deadline fails the whole call with 499/504.
+// deadline fails the whole call with 499/504. X-Cache is "hit" only when
+// every entry was answered from the cache.
 func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
 	queries, base, err := searchParams(r)
 	if err != nil {
@@ -417,7 +370,7 @@ func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
 		reqs[i].Keywords = strings.Fields(q)
 	}
 	start := time.Now()
-	batch, status := s.searchBatch(ctx, reqs)
+	batch, status := s.eng.SearchBatchStatus(ctx, reqs)
 	w.Header().Set("X-Cache", string(status))
 	// A deadline or disconnect that actually cost results shows up in the
 	// per-entry errors (abandoned slots carry ctx.Err()); a deadline that
@@ -452,11 +405,10 @@ func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // v1AdminStats answers GET /v1/admin/stats with the unified EngineStats
-// shape (topology, aggregate counters, per-shard detail when sharded).
-// Durable handles fill the "durability" block themselves — journal,
-// checkpoint, and recovery counters plus the health state machine — so
-// without -data-dir the field is omitted and legacy payloads stay
-// byte-identical.
+// shape (aggregate counters plus per-shard detail), with one block per
+// optional layer the handle carries — "durability" (journal, checkpoint,
+// and recovery counters plus the health state machine) only with
+// -data-dir, "cache", "admission", "replicas", and "replication" likewise.
 func (s *server) v1AdminStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.eng.Stats())
 }
@@ -529,8 +481,8 @@ type applyRequest struct {
 // handleApply validates, derives, and applies one admin maintenance
 // request through the Maintainer contract. The whole request — derivation
 // included — runs under the engine's maintenance serialization. The
-// deferred modes ("queue"/"flush") require a topology implementing
-// dash.Queuer — both live topologies do.
+// deferred modes ("queue"/"flush") are refused on a replica, which has no
+// queue to defer into.
 func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error) {
 	entries := append([]deltaRequest{req.deltaRequest}, req.Batch...)
 	var (
@@ -561,9 +513,8 @@ func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error)
 	switch req.Mode {
 	case "", "apply":
 	case "queue":
-		q, ok := s.eng.(dash.Queuer)
-		if !ok {
-			return nil, errors.New("serving topology does not support queued deltas")
+		if err := s.queueable(); err != nil {
+			return nil, err
 		}
 		if len(ids) > 0 {
 			return nil, errors.New(`"mode":"queue" takes explicit changes only: a recrawl derives against the current index, which defeats deferral`)
@@ -573,18 +524,20 @@ func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error)
 		}
 		n := 0
 		for _, d := range deltas {
-			n = q.Queue(d)
+			var err error
+			if n, err = s.eng.Queue(d); err != nil {
+				return nil, err
+			}
 		}
 		return map[string]any{"queued": len(deltas), "pending": n}, nil
 	case "flush":
-		q, ok := s.eng.(dash.Queuer)
-		if !ok {
-			return nil, errors.New("serving topology does not support queued deltas")
+		if err := s.queueable(); err != nil {
+			return nil, err
 		}
 		if !empty {
 			return nil, errors.New(`"mode":"flush" takes no deltas: it publishes what is already queued`)
 		}
-		return q.Flush(ctx)
+		return s.eng.Flush(ctx)
 	default:
 		return nil, fmt.Errorf("unknown mode %q: want apply, queue, or flush", req.Mode)
 	}
@@ -600,6 +553,15 @@ func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error)
 		extra = deltas[0]
 	}
 	return s.eng.RecrawlWith(ctx, s.db, ids, extra)
+}
+
+// queueable refuses the deferred modes on a replica handle (the one with a
+// replication tail): it has no write path to queue into.
+func (s *server) queueable() error {
+	if s.eng.ReplicationStats() != nil {
+		return errors.New("serving topology does not support queued deltas")
+	}
+	return nil
 }
 
 // parseDelta converts explicit JSON changes into a typed delta.
@@ -741,7 +703,7 @@ func (s *server) home(w http.ResponseWriter, r *http.Request) {
 			Size:  res.Size,
 		})
 	}
-	// The portable Handle contract has no snapshot pinning, so the
+	// The Handle contract has no snapshot pinning, so the
 	// footer's fragment count and epoch describe the serving index around
 	// the request, not the exact versions the search pinned — a publish
 	// landing mid-request can skew them by one version. The JSON API

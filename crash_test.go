@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -151,12 +150,12 @@ func TestCrashWorkloadChild(t *testing.T) {
 			t.Fatalf("child ack sync %d: %v", i, err)
 		}
 		if i%crashCheckpointEvery == crashCheckpointEvery-1 {
-			if err := h.(Checkpointer).Checkpoint(context.Background()); err != nil && inj == nil {
+			if err := h.Checkpoint(context.Background()); err != nil && inj == nil {
 				t.Fatalf("child checkpoint after %d: %v", i, err)
 			}
 		}
 	}
-	if err := h.(io.Closer).Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Fatalf("child close: %v", err)
 	}
 }
@@ -321,7 +320,7 @@ func TestCrashRecovery(t *testing.T) {
 					if err != nil {
 						t.Fatalf("re-seed after init crash: %v", err)
 					}
-					defer h.(io.Closer).Close()
+					defer h.Close()
 					if _, err := h.Apply(context.Background(), crashDeltaAt(0)); err != nil {
 						t.Fatalf("apply after re-seed: %v", err)
 					}
@@ -332,7 +331,7 @@ func TestCrashRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("recovery after %q at ack %d: %v", f.name, acked, err)
 				}
-				defer rec.(io.Closer).Close()
+				defer rec.Close()
 				gotDumps := dumpsOf(t, rec)
 				gotAnon := make([]interface{}, len(gotDumps))
 				for i, d := range gotDumps {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fooddb"
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
 // TestFacadeEndToEnd runs the package-doc quickstart for every algorithm:
@@ -43,7 +44,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 			}
 		}
 
-		engine := NewEngine(idx, app)
+		engine, err := Open(context.Background(), idx, app)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", alg, err)
+		}
 		results, err := engine.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20})
 		if err != nil {
 			t.Fatalf("%s: Search: %v", alg, err)
@@ -94,7 +98,10 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadIndex: %v", err)
 	}
-	engine := NewEngine(loaded, app)
+	engine, err := Open(context.Background(), loaded, app)
+	if err != nil {
+		t.Fatal(err)
+	}
 	results, err := engine.Search(context.Background(), Request{Keywords: []string{"coffee"}, K: 1, SizeThreshold: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -104,42 +111,9 @@ func TestFacadeSaveLoad(t *testing.T) {
 	}
 }
 
-func TestFacadeMultiEngine(t *testing.T) {
-	db := fooddb.New()
-	app, _ := Analyze(fooddb.ServletSource, fooddb.BaseURL)
-	if err := app.Bind(db); err != nil {
-		t.Fatal(err)
-	}
-	idx, _, err := Build(context.Background(), db, app, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMultiEngine(NewEngine(idx, app))
-	results, err := m.SearchApps(context.Background(), Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Errorf("multi results = %d, want 3", len(results))
-	}
-	if results[0].AppName != "Search" {
-		t.Errorf("app name = %q", results[0].AppName)
-	}
-	// The Searcher-contract form answers the same pages without the
-	// attribution.
-	plain, err := m.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(results) || plain[0].URL != results[0].URL {
-		t.Errorf("Search = %d results (top %q), SearchApps = %d (top %q)",
-			len(plain), plain[0].URL, len(results), results[0].URL)
-	}
-}
-
 // TestFacadeShardedLiveEngine drives the partitioned serving path through
-// the facade: build, shard, search (matching the single-index answer),
-// recrawl after a database change, batch-apply, and per-shard stats.
+// the facade: build, shard, search (matching the unpartitioned answer),
+// batch-apply, per-shard stats, and a pinned batch search.
 func TestFacadeShardedLiveEngine(t *testing.T) {
 	db := fooddb.New()
 	app, _ := Analyze(fooddb.ServletSource, fooddb.BaseURL)
@@ -153,13 +127,10 @@ func TestFacadeShardedLiveEngine(t *testing.T) {
 		}
 		return idx
 	}
-	single := NewLiveEngine(build(), app)
-	sharded, err := NewShardedLiveEngine(build(), app, 3)
+	single := search.New(build(), app)
+	sharded, err := Open(context.Background(), build(), app, WithShards(3))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sharded.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", sharded.NumShards())
 	}
 	req := Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}
 	want, err := single.Search(context.Background(), req)
@@ -192,7 +163,7 @@ func TestFacadeShardedLiveEngine(t *testing.T) {
 	if st.Total.Inserted != 1 || len(st.PerShard) != 1 {
 		t.Errorf("apply stats = %+v", st)
 	}
-	if !sharded.Live().Has(id) {
+	if !sharded.(*handle).live.Has(id) {
 		t.Error("inserted fragment not visible")
 	}
 	stats := sharded.Stats()
@@ -200,8 +171,8 @@ func TestFacadeShardedLiveEngine(t *testing.T) {
 		t.Errorf("stats = %+v", stats)
 	}
 
-	// ParallelSearch through the facade, pinned to one shard-snapshot set.
-	batch := sharded.ParallelSearch(context.Background(), []Request{req, req}, 0)
+	// SearchBatch through the facade, pinned to one shard-snapshot set.
+	batch := sharded.SearchBatch(context.Background(), []Request{req, req})
 	for _, br := range batch {
 		if br.Err != nil {
 			t.Fatal(br.Err)

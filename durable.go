@@ -1,19 +1,20 @@
 package dash
 
-// Durable serving: dash.Open(..., WithDataDir(dir)) layers the
-// internal/durable store under the live topologies. Every publish journals
-// its folded delta before the snapshot swap (the fragindex.PublishHook
-// seam), CompactIfNeeded doubles as a checkpoint, and reopening the same
-// directory recovers exactly the last acknowledged durable publish.
+// Durable serving: dash.Open(..., WithDataDir(dir)) puts the
+// internal/durable store under the handle's write path. Every publish
+// journals its folded delta before the snapshot swap (the
+// fragindex.PublishHook seam), CompactIfNeeded doubles as a checkpoint,
+// and reopening the same directory recovers exactly the last acknowledged
+// durable publish.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/durable"
 	"repro/internal/fragindex"
-	"repro/internal/search"
 )
 
 // Durability re-exports: the public surface of the durable layer.
@@ -24,7 +25,7 @@ type (
 	// SyncMode names a journal sync discipline.
 	SyncMode = durable.SyncMode
 	// DurabilityStats is the journal/checkpoint/recovery report a durable
-	// handle answers (DurabilityReporter).
+	// handle answers (Handle.DurabilityStats).
 	DurabilityStats = durable.Stats
 	// RecoveryInfo reports what recovering one shard took.
 	RecoveryInfo = durable.RecoveryInfo
@@ -74,285 +75,117 @@ const (
 // (fresh directory) or a nil one (recover the persisted state).
 func IsInitialized(dir string) bool { return durable.IsInitialized(dir) }
 
-// Queuer is the deferred-apply surface of the live topologies: Queue
-// buffers a delta without applying it and Flush publishes the whole queue
-// as one coalesced batch. LiveEngine, ShardedLiveEngine, and the durable
-// handles implement it; flushed batches flow through the same journaled
-// publish path as Apply.
-type Queuer interface {
-	Queue(d Delta) int
-	Flush(ctx context.Context) (ApplyReport, error)
-}
+// ErrNotDurable is returned by Checkpoint on a handle opened without
+// WithDataDir: there is no store to checkpoint into.
+var ErrNotDurable = errors.New("dash: handle has no data dir: nothing to checkpoint")
 
-// Checkpointer is implemented by durable handles: Checkpoint persists the
-// current state as a fresh snapshot generation and truncates the journal
-// (per shard). CompactIfNeeded on a durable handle checkpoints implicitly.
-type Checkpointer interface {
-	Checkpoint(ctx context.Context) error
-}
-
-// DurabilityReporter is implemented by durable handles; non-durable
-// handles simply do not satisfy it.
-type DurabilityReporter interface {
-	DurabilityStats() DurabilityStats
-}
-
-// DurabilityHealth is the cheap health surface of durable handles: both
-// methods are atomic reads, safe on every request path (readiness
-// probes, Retry-After hints, access logging) — unlike DurabilityStats,
-// which takes every shard lock. Non-durable handles do not satisfy it.
-type DurabilityHealth interface {
-	// DurabilityState reports the durability state machine's state.
-	DurabilityState() DurabilityState
-	// DurabilityProbeIn reports how long until the degraded-mode prober
-	// next re-tests the data dir (zero while healthy) — what serving
-	// layers derive Retry-After from for degraded writes.
-	DurabilityProbeIn() time.Duration
-}
-
-// openDurable is Open's WithDataDir branch. A fresh directory is seeded
-// from the caller's built index (after topology partitioning, so each
-// shard persists exactly what it serves); an initialized directory is
-// recovered — the persisted state wins, and a non-nil idx is rejected
-// rather than silently discarded.
-func openDurable(ctx context.Context, idx *Index, app *Application, cfg openConfig) (h Handle, err error) {
+// openDurable is Open's WithDataDir path. A fresh directory is seeded
+// from the caller's built index (after partitioning, so each shard
+// persists exactly what it serves: every shard's canonical dump is written
+// as its first snapshot generation, and only then does the MANIFEST commit
+// the directory); an initialized directory is recovered — the persisted
+// state wins, and a non-nil idx is rejected rather than silently
+// discarded.
+func openDurable(ctx context.Context, idx *Index, cfg openConfig) (_ *fragindex.ShardedLiveIndex, _ *durable.Store, err error) {
 	st, err := durable.OpenWith(ctx, cfg.dataDir, cfg.syncPolicy,
 		durable.Options{FS: cfg.fsys, Retry: cfg.retry})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if err != nil {
 			st.Close()
 		}
 	}()
+	var live *fragindex.ShardedLiveIndex
 	if st.Fresh() {
-		return seedDurable(ctx, st, idx, app, cfg)
-	}
-	if idx != nil {
-		return nil, fmt.Errorf("dash: WithDataDir(%q): directory is already initialized; pass a nil index to serve its recovered state", cfg.dataDir)
-	}
-	if cfg.shards != 0 && cfg.shards != st.NumShards() {
-		return nil, fmt.Errorf("dash: WithShards(%d) disagrees with the data dir's committed %d shards", cfg.shards, st.NumShards())
-	}
-	builders, _, err := st.Recover(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.compactNum > 0 {
-		for _, b := range builders {
-			if err := b.SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-				return nil, err
-			}
+		if idx == nil {
+			return nil, nil, fmt.Errorf("dash: WithDataDir(%q): a fresh data dir needs a built index to seed", cfg.dataDir)
 		}
-	}
-	if len(builders) > 1 {
-		sl, err := fragindex.NewShardedLiveFrom(builders)
-		if err != nil {
-			return nil, err
+		if live, err = fragindex.NewShardedLive(idx, max(cfg.shards, 1)); err != nil {
+			return nil, nil, err
 		}
-		se := &ShardedLiveEngine{live: sl, engine: search.NewSharded(sl, app), app: app}
-		se.engine.MaxFanout = cfg.workers
-		se.workers = cfg.workers
-		se.candLimit = cfg.candLimit
-		installHooks(st, nil, sl)
-		return &durableHandle{Handle: se, queuer: se, store: st, sharded: sl}, nil
-	}
-	live := fragindex.NewLive(builders[0])
-	le := &LiveEngine{live: live, engine: search.New(live, app), app: app,
-		workers: cfg.workers, candLimit: cfg.candLimit}
-	installHooks(st, live, nil)
-	return &durableHandle{Handle: le, queuer: le, store: st, live: live}, nil
-}
-
-// seedDurable initializes a fresh data directory from a built index: the
-// serving topology is constructed first (sharded partitioning included),
-// each publish cycle's canonical dump is written as its shard's first
-// snapshot generation, and only then does the MANIFEST commit the
-// directory.
-func seedDurable(ctx context.Context, st *durable.Store, idx *Index, app *Application, cfg openConfig) (Handle, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("dash: WithDataDir(%q): a fresh data dir needs a built index to seed", cfg.dataDir)
-	}
-	if cfg.shards > 1 {
-		se, err := NewShardedLiveEngine(idx, app, cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		se.engine.MaxFanout = cfg.workers
-		se.workers = cfg.workers
-		se.candLimit = cfg.candLimit
-		sl := se.live
-		dumps := make([]*fragindex.Dump, sl.NumShards())
+		dumps := make([]*fragindex.Dump, live.NumShards())
 		for i := range dumps {
-			dumps[i] = sl.Shard(i).Dump()
+			dumps[i] = live.Shard(i).Dump()
 		}
 		if err := st.Init(ctx, dumps); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		installHooks(st, nil, sl)
-		return &durableHandle{Handle: se, queuer: se, store: st, sharded: sl}, nil
-	}
-	le := NewLiveEngine(idx, app)
-	le.workers = cfg.workers
-	le.candLimit = cfg.candLimit
-	if err := st.Init(ctx, []*fragindex.Dump{le.live.Dump()}); err != nil {
-		return nil, err
-	}
-	installHooks(st, le.live, nil)
-	return &durableHandle{Handle: le, queuer: le, store: st, live: le.live}, nil
-}
-
-// installHooks wires every publish cycle's write-ahead hook to its shard's
-// journal: the folded delta is appended (and, policy permitting, fsynced)
-// before the snapshot swap acknowledges the publish. It also installs the
-// degraded-recovery baseline: the builder rolls failed publishes back, so
-// a shard's Dump is always exactly its last acknowledged state — what the
-// prober's fresh checkpoint must re-establish past a poisoned journal.
-func installHooks(st *durable.Store, live *fragindex.LiveIndex, sl *fragindex.ShardedLiveIndex) {
-	if live != nil {
-		live.SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
-			return st.Append(ctx, 0, d, epoch)
-		})
-		st.SetBaseline(func(context.Context, int) (*fragindex.Dump, error) {
-			return live.Dump(), nil
-		})
-	}
-	if sl != nil {
-		for i := 0; i < sl.NumShards(); i++ {
-			shard := i
-			sl.Shard(shard).SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
-				return st.Append(ctx, shard, d, epoch)
-			})
+	} else {
+		if idx != nil {
+			return nil, nil, fmt.Errorf("dash: WithDataDir(%q): directory is already initialized; pass a nil index to serve its recovered state", cfg.dataDir)
 		}
-		st.SetBaseline(func(_ context.Context, shard int) (*fragindex.Dump, error) {
-			return sl.Shard(shard).Dump(), nil
+		if cfg.shards != 0 && cfg.shards != st.NumShards() {
+			return nil, nil, fmt.Errorf("dash: WithShards(%d) disagrees with the data dir's committed %d shards", cfg.shards, st.NumShards())
+		}
+		builders, _, err := st.Recover(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		if live, err = fragindex.NewShardedLiveFrom(builders); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Every shard's write-ahead hook appends the folded delta to its
+	// journal (and, policy permitting, fsyncs it) before the snapshot swap
+	// acknowledges the publish. The baseline is what degraded recovery
+	// re-establishes past a poisoned journal: the builder rolls failed
+	// publishes back, so a shard's Dump is always its last acknowledged
+	// state.
+	for i := 0; i < live.NumShards(); i++ {
+		shard := i
+		live.Shard(shard).SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
+			return st.Append(ctx, shard, d, epoch)
 		})
 	}
-}
-
-// durableHandle wraps a live topology with its durable store: maintenance
-// flows through the wrapped handle (journaled via the publish hooks),
-// CompactIfNeeded additionally checkpoints, and Close flushes and releases
-// the journals. Exactly one of live/sharded is non-nil.
-type durableHandle struct {
-	Handle
-	queuer  Queuer
-	store   *durable.Store
-	live    *fragindex.LiveIndex
-	sharded *fragindex.ShardedLiveIndex
-}
-
-// Durable mutations fail fast while degraded: the store just proved the
-// disk unreliable, so no publish cycle is started that could not be made
-// durable. The same typed error would surface from the publish hook, but
-// failing before the fold/publish machinery runs keeps degraded writes
-// cheap and their errors unwrapped. Searches are never gated.
-
-func (h *durableHandle) Apply(ctx context.Context, d Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.Apply(ctx, d)
-}
-
-func (h *durableHandle) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.ApplyBatch(ctx, ds)
-}
-
-func (h *durableHandle) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.Recrawl(ctx, db, ids)
-}
-
-func (h *durableHandle) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.RecrawlWith(ctx, db, ids, extra)
-}
-
-func (h *durableHandle) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.RecrawlBatch(ctx, db, ids, ds)
-}
-
-// CompactIfNeeded runs the snapshot garbage collector and then checkpoints
-// every publish cycle — compacted or not — so the journal is truncated and
-// the on-disk generation reflects the served state (the durable layer's
-// "compaction doubles as checkpoint" contract).
-func (h *durableHandle) CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return 0, err
-	}
-	n, err := h.Handle.CompactIfNeeded(ctx, maxDeadRatio)
-	if err != nil {
-		return n, err
-	}
-	return n, h.Checkpoint(ctx)
+	st.SetBaseline(func(_ context.Context, shard int) (*fragindex.Dump, error) {
+		return live.Shard(shard).Dump(), nil
+	})
+	return live, st, nil
 }
 
 // Checkpoint writes each shard's current state as a new snapshot
 // generation and rotates its journal. Concurrent applies keep their
 // write-ahead guarantee throughout.
-func (h *durableHandle) Checkpoint(ctx context.Context) error {
-	if h.live != nil {
-		return h.store.Checkpoint(ctx, 0, h.live.Dump())
+func (h *handle) Checkpoint(ctx context.Context) error {
+	if h.store == nil {
+		return ErrNotDurable
 	}
-	for i := 0; i < h.sharded.NumShards(); i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	for i := 0; i < h.live.NumShards(); i++ {
+		if err := orBackground(ctx).Err(); err != nil {
+			return err
 		}
-		if err := h.store.Checkpoint(ctx, i, h.sharded.Shard(i).Dump()); err != nil {
+		if err := h.store.Checkpoint(ctx, i, h.live.Shard(i).Dump()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Queue buffers a delta for a later batched, journaled publish.
-func (h *durableHandle) Queue(d Delta) int { return h.queuer.Queue(d) }
-
-// Flush publishes the queued deltas as one coalesced batch through the
-// journaled publish path. Queued deltas survive a degraded rejection: the
-// queue is untouched until the publish machinery runs.
-func (h *durableHandle) Flush(ctx context.Context) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.queuer.Flush(ctx)
-}
-
 // DurabilityStats reports the store's journal, checkpoint, and recovery
 // counters plus the durability state machine's health block.
-func (h *durableHandle) DurabilityStats() DurabilityStats { return h.store.Stats() }
+func (h *handle) DurabilityStats() *DurabilityStats {
+	if h.store == nil {
+		return nil
+	}
+	ds := h.store.Stats()
+	return &ds
+}
 
 // DurabilityState reports the state machine's state (atomic read).
-func (h *durableHandle) DurabilityState() DurabilityState { return h.store.State() }
+func (h *handle) DurabilityState() DurabilityState {
+	if h.store == nil {
+		return ""
+	}
+	return h.store.State()
+}
 
 // DurabilityProbeIn reports the time until the prober's next data-dir
 // test (atomic read; zero while healthy).
-func (h *durableHandle) DurabilityProbeIn() time.Duration { return h.store.NextProbeIn() }
-
-// Stats attaches the durability block to the wrapped topology's unified
-// serving stats.
-func (h *durableHandle) Stats() EngineStats {
-	st := h.Handle.Stats()
-	ds := h.store.Stats()
-	st.Durability = &ds
-	return st
+func (h *handle) DurabilityProbeIn() time.Duration {
+	if h.store == nil {
+		return 0
+	}
+	return h.store.NextProbeIn()
 }
-
-// Close flushes unsynced journal appends and releases the data directory.
-// The handle keeps serving searches afterwards, but further applies fail:
-// close it last.
-func (h *durableHandle) Close() error { return h.store.Close() }

@@ -3,7 +3,6 @@ package dash
 import (
 	"context"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -45,33 +44,18 @@ func searchAll(t *testing.T, s Searcher, queries ...[]string) [][]Result {
 	return out
 }
 
-// dumpsOf captures the canonical per-cycle dumps of any live handle —
-// durable or in-memory — so recovered state can be compared byte-for-byte
-// against a replica that applied the same deltas without ever persisting.
+// dumpsOf captures the canonical per-shard dumps of any handle — durable,
+// in-memory, or replica — so recovered state can be compared
+// byte-for-byte against a twin that applied the same deltas without ever
+// persisting.
 func dumpsOf(t *testing.T, h Handle) []*fragindex.Dump {
 	t.Helper()
-	switch v := h.(type) {
-	case *durableHandle:
-		if v.live != nil {
-			return []*fragindex.Dump{v.live.Dump()}
-		}
-		out := make([]*fragindex.Dump, v.sharded.NumShards())
-		for i := range out {
-			out[i] = v.sharded.Shard(i).Dump()
-		}
-		return out
-	case *LiveEngine:
-		return []*fragindex.Dump{v.live.Dump()}
-	case *ShardedLiveEngine:
-		out := make([]*fragindex.Dump, v.live.NumShards())
-		for i := range out {
-			out[i] = v.live.Shard(i).Dump()
-		}
-		return out
-	default:
-		t.Fatalf("handle %T has no canonical dump", h)
-		return nil
+	live := h.(*handle).live
+	out := make([]*fragindex.Dump, live.NumShards())
+	for i := range out {
+		out[i] = live.Shard(i).Dump()
 	}
+	return out
 }
 
 func durableDeltas() []Delta {
@@ -111,11 +95,11 @@ func TestDurableSeedApplyReopen(t *testing.T) {
 			want := searchAll(t, h)
 			wantDumps := dumpsOf(t, h)
 			wantStats := h.Stats()
-			ds := h.(DurabilityReporter).DurabilityStats()
+			ds := h.DurabilityStats()
 			if ds.Recovered || ds.Shards != shards || ds.JournalRecords == 0 {
 				t.Errorf("pre-close durability stats %+v", ds)
 			}
-			if err := h.(io.Closer).Close(); err != nil {
+			if err := h.Close(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -126,7 +110,7 @@ func TestDurableSeedApplyReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h2.(io.Closer).Close()
+			defer h2.Close()
 			if got := searchAll(t, h2); !reflect.DeepEqual(got, want) {
 				t.Error("recovered handle answers differently")
 			}
@@ -137,7 +121,7 @@ func TestDurableSeedApplyReopen(t *testing.T) {
 			if st.Fragments != wantStats.Fragments || st.Shards != shards || st.MaxEpoch != wantStats.MaxEpoch {
 				t.Errorf("recovered stats %+v, want fragments/shards/epoch of %+v", st, wantStats)
 			}
-			ds2 := h2.(DurabilityReporter).DurabilityStats()
+			ds2 := h2.DurabilityStats()
 			if !ds2.Recovered || len(ds2.Recovery) != shards {
 				t.Errorf("recovery stats %+v", ds2)
 			}
@@ -159,12 +143,12 @@ func TestDurableSeedApplyReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			want3 := dumpsOf(t, h2)
-			h2.(io.Closer).Close()
+			h2.Close()
 			h3, err := Open(context.Background(), nil, app, WithDataDir(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h3.(io.Closer).Close()
+			defer h3.Close()
 			if got := dumpsOf(t, h3); !reflect.DeepEqual(got, want3) {
 				t.Error("second recovery diverged")
 			}
@@ -194,14 +178,13 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.(io.Closer).Close()
+	h.Close()
 	h2, err := Open(context.Background(), nil, app, WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.(io.Closer).Close()
-	want := twin.(*LiveEngine).live.Dump()
-	if got := dumpsOf(t, h2)[0]; !reflect.DeepEqual(got, want) {
+	defer h2.Close()
+	if got, want := dumpsOf(t, h2), dumpsOf(t, twin); !reflect.DeepEqual(got, want) {
 		t.Error("recovered state diverged from the in-memory twin")
 	}
 	if got, want := searchAll(t, h2), searchAll(t, twin); !reflect.DeepEqual(got, want) {
@@ -218,36 +201,32 @@ func TestDurableQueueFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, ok := h.(Queuer)
-	if !ok {
-		t.Fatal("durable handle does not implement Queuer")
-	}
-	before := h.(DurabilityReporter).DurabilityStats().JournalRecords
+	before := h.DurabilityStats().JournalRecords
 	for i, d := range durableDeltas()[:3] {
-		if got := q.Queue(d); got != i+1 {
-			t.Errorf("Queue #%d returned %d", i+1, got)
+		if got, err := h.Queue(d); err != nil || got != i+1 {
+			t.Errorf("Queue #%d returned %d, %v", i+1, got, err)
 		}
 	}
-	if got := h.(DurabilityReporter).DurabilityStats().JournalRecords; got != before {
+	if got := h.DurabilityStats().JournalRecords; got != before {
 		t.Errorf("queueing journaled: %d -> %d records", before, got)
 	}
-	rep, err := q.Flush(context.Background())
+	rep, err := h.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Total.Deltas != 3 {
 		t.Errorf("flush report %+v", rep)
 	}
-	if got := h.(DurabilityReporter).DurabilityStats().JournalRecords; got != before+1 {
+	if got := h.DurabilityStats().JournalRecords; got != before+1 {
 		t.Errorf("flush journaled %d records, want 1 coalesced", got-before)
 	}
 	want := dumpsOf(t, h)
-	h.(io.Closer).Close()
+	h.Close()
 	h2, err := Open(context.Background(), nil, app, WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.(io.Closer).Close()
+	defer h2.Close()
 	if got := dumpsOf(t, h2); !reflect.DeepEqual(got, want) {
 		t.Error("flushed batch did not survive the reopen")
 	}
@@ -271,30 +250,27 @@ func TestDurableCompactCheckpoints(t *testing.T) {
 	if _, err := h.CompactIfNeeded(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	ds := h.(DurabilityReporter).DurabilityStats()
+	ds := h.DurabilityStats()
 	if ds.Checkpoints == 0 || ds.JournalRecords != 0 {
 		t.Errorf("post-compact durability stats %+v", ds)
 	}
 	want := dumpsOf(t, h)
-	h.(io.Closer).Close()
+	h.Close()
 	h2, err := Open(context.Background(), nil, app, WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.(io.Closer).Close()
+	defer h2.Close()
 	if got := dumpsOf(t, h2); !reflect.DeepEqual(got, want) {
 		t.Error("post-checkpoint recovery diverged")
 	}
-	for _, ri := range h2.(DurabilityReporter).DurabilityStats().Recovery {
+	for _, ri := range h2.DurabilityStats().Recovery {
 		if ri.ReplayedRecords != 0 {
 			t.Errorf("recovery replayed %d records after a checkpoint", ri.ReplayedRecords)
 		}
 	}
 	// An explicit Checkpoint is available too.
-	if _, ok := h2.(Checkpointer); !ok {
-		t.Error("durable handle does not implement Checkpointer")
-	}
-	if err := h2.(Checkpointer).Checkpoint(context.Background()); err != nil {
+	if err := h2.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -307,9 +283,6 @@ func TestDurableOpenErrors(t *testing.T) {
 	if _, err := Open(context.Background(), build(), app, WithDataDir("")); err == nil {
 		t.Error("empty data dir accepted")
 	}
-	if _, err := Open(context.Background(), build(), app, WithDataDir(dir), WithReadOnly()); err == nil {
-		t.Error("read-only durable handle accepted")
-	}
 	if _, err := Open(context.Background(), nil, app, WithDataDir(dir)); err == nil {
 		t.Error("nil index accepted for a fresh data dir")
 	}
@@ -321,7 +294,7 @@ func TestDurableOpenErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.(io.Closer).Close()
+	h.Close()
 	if _, err := Open(context.Background(), build(), app, WithDataDir(dir)); err == nil {
 		t.Error("built index accepted for an initialized data dir")
 	}
@@ -333,43 +306,43 @@ func TestDurableOpenErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.(io.Closer).Close()
+	h2.Close()
 
 	if _, err := Open(context.Background(), build(), app, WithDataDir(dir), WithSyncPolicy(SyncPolicy{Mode: "sometimes"})); err == nil {
 		t.Error("unknown sync mode accepted")
 	}
 }
 
-// TestDurableInterfaceSurface: durable handles expose the durability
-// contracts; plain in-memory handles do not.
+// TestDurableInterfaceSurface: a durable handle answers the durability
+// reads; a plain in-memory handle answers them explicitly empty. Both
+// queue.
 func TestDurableInterfaceSurface(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 	h, err := Open(context.Background(), build(), app, WithDataDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.(io.Closer).Close()
-	for name, ok := range map[string]bool{
-		"Queuer":             func() bool { _, ok := h.(Queuer); return ok }(),
-		"Checkpointer":       func() bool { _, ok := h.(Checkpointer); return ok }(),
-		"DurabilityReporter": func() bool { _, ok := h.(DurabilityReporter); return ok }(),
-		"io.Closer":          func() bool { _, ok := h.(io.Closer); return ok }(),
-	} {
-		if !ok {
-			t.Errorf("durable handle missing %s", name)
-		}
+	defer h.Close()
+	if ds := h.DurabilityStats(); ds == nil || ds.Shards != 1 {
+		t.Errorf("durable handle stats = %+v", ds)
+	}
+	if h.DurabilityState() != DurabilityHealthy || h.DurabilityProbeIn() != 0 {
+		t.Errorf("durable handle state %q, probe in %v", h.DurabilityState(), h.DurabilityProbeIn())
+	}
+	if _, err := h.Queue(Delta{}); err != nil {
+		t.Errorf("durable Queue: %v", err)
 	}
 	plain, err := Open(context.Background(), build(), app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain.(DurabilityReporter); ok {
-		t.Error("in-memory handle claims DurabilityReporter")
+	if plain.DurabilityStats() != nil || plain.DurabilityState() != "" {
+		t.Error("in-memory handle reports durability")
 	}
-	if _, ok := plain.(Queuer); !ok {
-		t.Error("live handle lost its Queuer surface")
+	if err := plain.Checkpoint(context.Background()); !errors.Is(err, ErrNotDurable) {
+		t.Errorf("in-memory Checkpoint err = %v, want ErrNotDurable", err)
 	}
-	if errors.Is(err, nil) && plain == nil {
-		t.Fatal("unreachable")
+	if _, err := plain.Queue(Delta{}); err != nil {
+		t.Errorf("in-memory Queue: %v", err)
 	}
 }

@@ -3,15 +3,15 @@
 // efficiently update (affected portions of) a fragment index are
 // desirable") — under live query traffic.
 //
-// The index is served through a dash.LiveEngine built on epoch-swap
-// snapshots: searcher goroutines stream top-k queries, each pinned to an
-// immutable snapshot resolved with one atomic load, while the writer
-// mutates the fooddb database and calls Recrawl, which re-executes the
-// application query for the affected partitions only, derives a Delta
+// The index is served through dash.Open on epoch-swap snapshots:
+// searcher goroutines stream top-k queries, each pinned to an immutable
+// snapshot resolved with one atomic load, while the writer mutates the
+// fooddb database and calls Recrawl, which re-executes the application
+// query for the affected partitions only, derives a Delta
 // (insert/remove/update per fragment), and atomically publishes the
-// patched index version. A snapshot pinned before the update keeps
-// answering with the old contents — repeatable reads for free — while new
-// searches see the fresh comment immediately.
+// patched index version. A search already in flight finishes against the
+// snapshot it pinned, while new searches see the fresh comment
+// immediately.
 package main
 
 import (
@@ -48,14 +48,10 @@ func run() error {
 	fmt.Printf("initial index: %d fragments, %d keywords\n", stats.Fragments, stats.Keywords)
 
 	ctx := context.Background()
-	// Open picks the live (epoch-swap) topology by default; the concrete
-	// type is asserted because this example also demonstrates explicit
-	// snapshot pinning, which is outside the portable Handle contract.
-	opened, err := dash.Open(ctx, idx, app)
+	engine, err := dash.Open(ctx, idx, app)
 	if err != nil {
 		return err
 	}
-	engine := opened.(*dash.LiveEngine)
 	froyo := dash.Request{Keywords: []string{"froyo"}, K: 5, SizeThreshold: 5}
 
 	before, err := engine.Search(ctx, froyo)
@@ -63,10 +59,6 @@ func run() error {
 		return err
 	}
 	fmt.Printf("search \"froyo\" before update: %d results\n", len(before))
-
-	// Pin the pre-update version: everything searched through it stays
-	// byte-identical no matter what is published later.
-	pinned := engine.Snapshot()
 
 	// Query traffic keeps flowing while the index is maintained: searcher
 	// goroutines hammer the live engine and count how many of their
@@ -125,7 +117,7 @@ func run() error {
 	fmt.Printf("served %d searches concurrently with the update (%d saw the new content)\n",
 		searches.Load(), sawFresh.Load())
 
-	// New searches see the fresh comment instantly…
+	// New searches see the fresh comment instantly.
 	after, err := engine.Search(ctx, froyo)
 	if err != nil {
 		return err
@@ -134,15 +126,6 @@ func run() error {
 	for _, r := range after {
 		fmt.Printf("  %s (score %.4f)\n", r.URL, r.Score)
 	}
-
-	// …while the pinned pre-update snapshot still answers with the old
-	// contents (repeatable reads across index versions).
-	old, err := engine.Engine().SearchSnapshot(ctx, pinned, froyo)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pinned pre-update snapshot (epoch %d) still returns %d results\n",
-		pinned.Epoch(), len(old))
 
 	// And the suggested URL serves the fresh comment.
 	page, err := app.Execute(after[0].QueryString)

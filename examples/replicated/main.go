@@ -97,11 +97,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer leader.(interface{ Close() error }).Close()
+	defer leader.Close()
 
 	leaderMux := http.NewServeMux()
 	leaderMux.Handle(dash.ReplicationPrefix+"/",
-		http.StripPrefix(dash.ReplicationPrefix, leader.(dash.Replicable).ReplicationHandler()))
+		http.StripPrefix(dash.ReplicationPrefix, leader.ReplicationHandler()))
 	lnLeader, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -181,7 +181,7 @@ func run() error {
 // /v1/readyz does — the shape the leader-side router polls. Returns the
 // server so the demo can take the endpoint down (Close also severs
 // keep-alive connections, which closing the listener alone would not).
-func serveReadyz(ln net.Listener, rep *dash.ReplicaEngine) *http.Server {
+func serveReadyz(ln net.Listener, rep dash.Handle) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -204,15 +204,15 @@ func insertDelta(i int) dash.Delta {
 	}}}
 }
 
-func waitConverged(name string, rep *dash.ReplicaEngine, leader dash.Handle) {
-	lead := leader.(dash.DurabilityReporter).DurabilityStats().PerShard[0].DurableEpoch
+func waitConverged(name string, rep, leader dash.Handle) {
+	lead := leader.DurabilityStats().PerShard[0].DurableEpoch
 	for rep.ReplicationStats().MinApplied < lead {
 		time.Sleep(20 * time.Millisecond)
 	}
 	fmt.Printf("replica %s converged at epoch %d\n", name, rep.ReplicationStats().MinApplied)
 }
 
-func waitSevered(rep *dash.ReplicaEngine) {
+func waitSevered(rep dash.Handle) {
 	for rep.ReplicationStats().State != "severed" {
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -250,10 +250,9 @@ func showSearch(name string, s dash.Searcher) {
 // ~500ms readiness poll catches up with the world and the decision takes
 // the expected shape, then prints where a default-bound read would run.
 func showRouting(leader dash.Handle, caption string, expectProxy bool) {
-	router := leader.(dash.SearchRouter)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		target, proxy := router.RouteSearch(dash.Request{})
+		target, proxy := leader.RouteSearch(dash.Request{})
 		if proxy == expectProxy || time.Now().After(deadline) {
 			if proxy {
 				fmt.Printf("routing: %s -> replica %s\n", caption, target)

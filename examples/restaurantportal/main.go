@@ -62,7 +62,10 @@ func run() error {
 	fmt.Printf("crawled %d fragments without issuing a single HTTP request\n", stats.Fragments)
 
 	// Keyword search: the result is a URL on the live server.
-	engine := dash.NewEngine(idx, app)
+	engine, err := dash.Open(context.Background(), idx, app)
+	if err != nil {
+		return err
+	}
 	const keyword = "burger"
 	results, err := engine.Search(context.Background(), dash.Request{
 		Keywords: []string{keyword}, K: 2, SizeThreshold: 20,

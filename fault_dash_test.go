@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -36,7 +35,7 @@ func fastFaultRetry() DurabilityRetryPolicy {
 
 // waitHealthy polls the handle's durability state until it reports
 // healthy or the deadline passes.
-func waitHealthy(t *testing.T, h DurabilityHealth, within time.Duration) {
+func waitHealthy(t *testing.T, h Handle, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for h.DurabilityState() != DurabilityHealthy {
@@ -62,11 +61,8 @@ func TestDegradedServingFullCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.(io.Closer).Close()
-	health, ok := h.(DurabilityHealth)
-	if !ok {
-		t.Fatal("durable handle does not implement DurabilityHealth")
-	}
+	defer h.Close()
+	health := h
 	// A twin that never persists applies exactly the acknowledged deltas:
 	// the oracle for what the recovered handle must hold.
 	twin, err := Open(context.Background(), build(), app)
@@ -140,7 +136,7 @@ func TestDegradedServingFullCycle(t *testing.T) {
 	if twinDumps := dumpsOf(t, twin); !reflect.DeepEqual(wantDumps, twinDumps) {
 		t.Error("recovered handle diverged from the acknowledged-applies twin")
 	}
-	if err := h.(io.Closer).Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -150,7 +146,7 @@ func TestDegradedServingFullCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.(io.Closer).Close()
+	defer h2.Close()
 	if got := searchAll(t, h2); !reflect.DeepEqual(got, want) {
 		t.Error("restarted handle answers differently")
 	}
@@ -172,7 +168,7 @@ func TestDurableDiskFlapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := h.(DurabilityHealth)
+	health := h
 
 	// Disk flapper: healthy -> broken -> healthy, several cycles.
 	flaps := 6
@@ -254,7 +250,7 @@ func TestDurableDiskFlapStress(t *testing.T) {
 	inj.Heal()
 	waitHealthy(t, health, 5*time.Second)
 	want := dumpsOf(t, h)
-	if err := h.(io.Closer).Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,7 +258,7 @@ func TestDurableDiskFlapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.(io.Closer).Close()
+	defer h2.Close()
 	if got := dumpsOf(t, h2); !reflect.DeepEqual(got, want) {
 		t.Error("restart lost acknowledged writes")
 	}

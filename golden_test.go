@@ -8,7 +8,6 @@ package dash
 
 import (
 	"context"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,11 +127,11 @@ func TestGoldenDataDirCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h.(io.Closer).Close()
+			defer h.Close()
 
 			// Recovery ran both halves: a post-seed snapshot generation was
 			// loaded and the post-checkpoint journal was replayed.
-			ds := h.(DurabilityReporter).DurabilityStats()
+			ds := h.DurabilityStats()
 			if !ds.Recovered {
 				t.Fatal("reopen did not recover")
 			}

@@ -46,7 +46,7 @@ func TestIntegrationTPCHAllQueriesAllAlgorithms(t *testing.T) {
 				if stats.Fragments == 0 {
 					t.Fatal("no fragments")
 				}
-				engine := NewEngine(idx, app)
+				engine := search.New(idx, app)
 				bands := harness.KeywordBands(idx.Snapshot(), 3)
 				for _, kw := range bands.Warm {
 					results, err := engine.Search(context.Background(), Request{
@@ -102,7 +102,7 @@ func TestIntegrationSearchResultsConsistentAcrossAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eSW, eINT := NewEngine(idxSW, app), NewEngine(idxINT, app)
+	eSW, eINT := search.New(idxSW, app), search.New(idxINT, app)
 	bands := harness.KeywordBands(idxINT.Snapshot(), 5)
 	all := append(append(append([]string{}, bands.Hot...), bands.Warm...), bands.Cold...)
 	for _, kw := range all {
@@ -156,7 +156,7 @@ func TestIntegrationSaveLoadServeRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(app.Handler())
 	defer srv.Close()
 
-	engine := NewEngine(loaded, app)
+	engine := search.New(loaded, app)
 	bands := harness.KeywordBands(loaded.Snapshot(), 2)
 	kw := bands.Hot[0]
 	results, err := engine.Search(context.Background(), Request{Keywords: []string{kw}, K: 2, SizeThreshold: 100})
@@ -228,7 +228,7 @@ func TestIntegrationUpdateFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := NewEngine(idx, app)
+	engine := search.New(idx, app)
 
 	// No results for a made-up keyword yet.
 	if rs, err := engine.Search(context.Background(), Request{Keywords: []string{"xyzzynew"}, K: 3, SizeThreshold: 10}); err != nil || len(rs) != 0 {
@@ -328,7 +328,12 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := NewLiveEngine(idx, app)
+	opened, err := Open(context.Background(), idx, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := opened.(*handle)
+	shard := live.live.Shard(0)
 	bound, err := app.Bound()
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +341,7 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 	id := FragmentID{relation.String("American"), relation.Int(10)}
 	// Derivation sees the fragment live and classifies its change as an
 	// update.
-	stale, err := crawl.DeriveDelta(context.Background(), db, bound, []fragment.ID{id}, live.Snapshot().Has)
+	stale, err := crawl.DeriveDelta(context.Background(), db, bound, []fragment.ID{id}, live.live.Has)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +354,11 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	s1 := live.Snapshot()
+	s1 := shard.Snapshot()
 	if _, err := live.Apply(context.Background(), stale); !errors.Is(err, fragindex.ErrNoFragment) {
 		t.Fatalf("stale apply err = %v, want ErrNoFragment", err)
 	}
-	if live.Snapshot() != s1 {
+	if shard.Snapshot() != s1 {
 		t.Error("failed stale apply published a snapshot")
 	}
 	// Recrawl derives under the maintenance lock against the latest
@@ -365,7 +370,7 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 	if st.Total.Inserted != 1 || st.Total.Updated != 0 {
 		t.Errorf("recrawl after removal stats = %+v, want one insert", st)
 	}
-	if !live.Snapshot().Has(id) {
+	if !live.live.Has(id) {
 		t.Error("recrawled fragment missing from the serving snapshot")
 	}
 }

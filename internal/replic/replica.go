@@ -65,19 +65,18 @@ type shardTail struct {
 	lastErr      atomic.Value // string
 }
 
-// Replica is a journal-tailing read replica of one leader: per-shard live
-// indexes bootstrapped from the leader's snapshots and kept converged by
-// tail loops. Reads go through Single/Sharded exactly like a local index;
-// writes have no path — replicas are read-only by construction.
+// Replica is a journal-tailing read replica of one leader: a sharded live
+// index (one shard per leader shard, S >= 1) bootstrapped from the
+// leader's snapshots and kept converged by per-shard tail loops. Reads go
+// through Live exactly like a local index; writes have no path — replicas
+// are read-only by construction.
 type Replica struct {
 	leader string
 	client *Client
 	opts   Options
 
-	spec    fragindex.Spec
-	single  *fragindex.LiveIndex        // nil when sharded
-	sharded *fragindex.ShardedLiveIndex // nil when single-shard
-	shards  []*shardTail
+	live   *fragindex.ShardedLiveIndex
+	shards []*shardTail
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -109,21 +108,13 @@ func Bootstrap(ctx context.Context, leaderURL string, opts Options) (*Replica, e
 		builders[i] = idx
 		epochs[i] = dump.Epoch
 	}
-	if man.Shards == 1 {
-		r.single = fragindex.NewLive(builders[0])
-		r.spec = builders[0].Spec()
-	} else {
-		sl, serr := fragindex.NewShardedLiveFrom(builders)
-		if serr != nil {
-			return nil, fmt.Errorf("replic: assembling sharded replica: %w", serr)
-		}
-		r.sharded = sl
-		r.spec = sl.Spec()
+	if r.live, err = fragindex.NewShardedLiveFrom(builders); err != nil {
+		return nil, fmt.Errorf("replic: assembling replica: %w", err)
 	}
 	tailCtx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	for i := 0; i < man.Shards; i++ {
-		t := &shardTail{shard: i, live: r.liveShard(i)}
+		t := &shardTail{shard: i, live: r.live.Shard(i)}
 		t.applied.Store(epochs[i])
 		t.leaderEpoch.Store(man.PerShard[i].DurableEpoch)
 		r.shards = append(r.shards, t)
@@ -157,13 +148,6 @@ func fetchNewestSnapshot(ctx context.Context, client *Client, man *Manifest, sha
 		errs = append(errs, err)
 	}
 	return nil, fmt.Errorf("replic: shard %d: every snapshot generation failed to fetch: %w", shard, errors.Join(errs...))
-}
-
-func (r *Replica) liveShard(i int) *fragindex.LiveIndex {
-	if r.single != nil {
-		return r.single
-	}
-	return r.sharded.Shard(i)
 }
 
 // tailLoop keeps one shard converged: poll, apply, and on failure degrade
@@ -297,16 +281,14 @@ func (r *Replica) rebootstrapShard(ctx context.Context, t *shardTail) error {
 func (r *Replica) Leader() string { return r.leader }
 
 // Spec returns the replicated index spec.
-func (r *Replica) Spec() fragindex.Spec { return r.spec }
+func (r *Replica) Spec() fragindex.Spec { return r.live.Spec() }
 
 // NumShards returns the replicated shard count.
 func (r *Replica) NumShards() int { return len(r.shards) }
 
-// Single returns the live index of a single-shard replica (nil when
-// sharded); Sharded the sharded index (nil when single). Exactly one is
-// non-nil — the facade builds its search engine over whichever exists.
-func (r *Replica) Single() *fragindex.LiveIndex          { return r.single }
-func (r *Replica) Sharded() *fragindex.ShardedLiveIndex  { return r.sharded }
+// Live returns the replicated index the tail loops publish into; the
+// facade builds its search engine over it.
+func (r *Replica) Live() *fragindex.ShardedLiveIndex { return r.live }
 
 // AppliedEpoch returns one shard's applied (published) epoch.
 func (r *Replica) AppliedEpoch(shard int) uint64 {

@@ -47,10 +47,7 @@ import (
 // posting lists", so the two spellings are one request). The engine
 // normalizes keywords identically on every search, so a normalized
 // request returns byte-identical results to its raw form — which is what
-// lets the result cache key equal-meaning requests to one entry. Callers
-// that apply a handle-level default CandidateLimit must fold it in
-// *before* normalizing, since normalization erases the "explicitly
-// unlimited" negative spelling a default would otherwise overwrite.
+// lets the result cache key equal-meaning requests to one entry.
 func NormalizeRequest(req Request) Request {
 	req.Keywords = normalizeKeywords(make([]string, 0, len(req.Keywords)), req.Keywords)
 	if req.CandidateLimit < 0 {

@@ -139,13 +139,10 @@ type Request struct {
 	// paper's observation that fragment-sharing pages are redundant.
 	AllowOverlap bool
 	// CandidateLimit caps how many postings are read per keyword when
-	// positive; any non-positive value reads full lists. (0 is the
-	// ordinary "unlimited" default; a negative value means the same to
-	// the engine but survives handle-level defaults — dash.Open's
-	// WithCandidateLimit only fills requests whose limit is exactly 0.)
-	// Inverted lists are TF-descending, so reading only the
-	// "initial part of Lw" (paper §II) trades a bounded amount of recall
-	// for latency on hot keywords. IDF still uses the full DF.
+	// positive; any non-positive value reads full lists. Inverted lists
+	// are TF-descending, so reading only the "initial part of Lw" (paper
+	// §II) trades a bounded amount of recall for latency on hot keywords.
+	// IDF still uses the full DF.
 	//
 	// Contract: the kept prefix is exactly the CandidateLimit postings
 	// that sort highest by (TF descending, ref ascending). The ref

@@ -48,7 +48,7 @@ type Stats struct {
 	Admission *AdmissionStats `json:"admission,omitempty"`
 	// Durability reports the durable store's journal/checkpoint counters
 	// and health state for handles opened with dash.WithDataDir; nil for
-	// purely in-memory topologies.
+	// in-memory handles.
 	Durability *durable.Stats `json:"durability,omitempty"`
 	// Replication reports a replica handle's tail state (applied epochs,
 	// lag, sever/reconnect counters); nil on leaders and standalone

@@ -2,11 +2,11 @@ package dash
 
 // Replicated serving: the public facade over internal/replic. A durable
 // leader exposes its replication transport through ReplicationHandler
-// (mounted under dash.ReplicationPrefix); OpenReplica builds a read-only
-// serving handle that bootstraps from a leader's snapshots and tails its
-// journal; WithReplicas turns a leader handle into a bounded-staleness
-// read router over a replica fleet. See ARCHITECTURE.md "Replicated
-// serving" for the protocol and failure matrix.
+// (mounted under dash.ReplicationPrefix); OpenReplica builds a handle
+// whose write path is replaced by a journal tail from a leader;
+// WithReplicas gives a leader handle a bounded-staleness read router over
+// a replica fleet. See ARCHITECTURE.md "Replicated serving" for the
+// protocol and failure matrix.
 
 import (
 	"context"
@@ -51,42 +51,28 @@ var (
 	ErrReplicaBehind = errors.New("dash: replica has not applied the requested epoch")
 )
 
-// Replicable is the capability of leader handles that can serve the
-// replication transport — handles opened with WithDataDir. Mount the
-// handler under ReplicationPrefix with http.StripPrefix.
-type Replicable interface {
-	ReplicationHandler() http.Handler
-}
-
-// ReplicationReporter is the capability of replica handles: the tail
-// report routers consume.
-type ReplicationReporter interface {
-	ReplicationStats() ReplicationStats
-}
-
-// SearchRouter is the read-placement capability: handles that may want a
-// request served elsewhere implement it, and HTTP layers consult it before
-// running a search locally. When proxy is true the request should be
-// forwarded byte-for-byte to target (a base URL) — forwarding at the HTTP
-// layer keeps routed responses byte-identical to locally served ones.
-type SearchRouter interface {
-	RouteSearch(req Request) (target string, proxy bool)
-}
-
 // ReplicationHandler serves the /v1/replication surface from the durable
-// store (satisfies Replicable).
-func (h *durableHandle) ReplicationHandler() http.Handler { return replic.NewLeader(h.store) }
+// store; nil off a durable leader (replicas have no store of their own).
+func (h *handle) ReplicationHandler() http.Handler {
+	if h.store == nil {
+		return nil
+	}
+	return replic.NewLeader(h.store)
+}
 
-// ReplicationHandler passes through the cache wrapper (satisfies
-// Replicable): replication reads the store, not the result cache.
-func (cd *cachedDurable) ReplicationHandler() http.Handler { return cd.d.ReplicationHandler() }
+// ReplicationStats returns a replica's tail report; nil on leaders.
+func (h *handle) ReplicationStats() *ReplicationStats {
+	if h.replica == nil {
+		return nil
+	}
+	rs := h.replica.Stats()
+	return &rs
+}
 
 // replicaConfig accumulates OpenReplica options.
 type replicaConfig struct {
 	opts      replic.Options
 	staleness int64 // lag bound in epochs; < 0 disables lag-based proxying
-	workers   int
-	candLimit int
 }
 
 // ReplicaOption configures OpenReplica.
@@ -134,49 +120,19 @@ func WithReplicaLog(logf func(format string, args ...any)) ReplicaOption {
 	}
 }
 
-// WithReplicaWorkers bounds the replica's batch-search fan-out (like
-// WithWorkers on Open).
-func WithReplicaWorkers(n int) ReplicaOption {
-	return func(c *replicaConfig) error {
-		c.workers = n
-		return nil
-	}
-}
-
-// WithReplicaCandidateLimit is WithCandidateLimit for replica handles.
-func WithReplicaCandidateLimit(n int) ReplicaOption {
-	return func(c *replicaConfig) error {
-		if n < 0 {
-			return fmt.Errorf("dash: WithReplicaCandidateLimit(%d): limit must be >= 0", n)
-		}
-		c.candLimit = n
-		return nil
-	}
-}
-
-// ReplicaEngine is the read-only serving handle of a journal-tailing
-// replica: it bootstraps from the leader's newest snapshot generation,
-// applies tailed records through the replay fold, and publishes via the
-// epoch-swap path — searches are byte-identical to the leader at the same
-// epoch. Maintainer methods return ErrReplicaReadOnly; RouteSearch sends
-// reads the replica cannot satisfy (MinEpoch ahead of the applied epoch,
-// or lag past the staleness bound) back to the leader. Close stops the
-// tail loops; the last applied state keeps serving.
-type ReplicaEngine struct {
-	rep       *replic.Replica
-	engine    *search.Engine        // single-shard
-	sharded   *search.ShardedEngine // multi-shard
-	leader    string
-	staleness int64
-	workers   int
-	candLimit int
-}
-
-// OpenReplica bootstraps a read replica of the leader at leaderURL. The
-// ctx bounds the bootstrap (manifest + snapshot fetch + restore); the tail
-// loops run until Close. app may be nil when URL formulation is not
-// needed; it must match the leader's application for URLs to agree.
-func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts ...ReplicaOption) (*ReplicaEngine, error) {
+// OpenReplica bootstraps a read replica of the leader at leaderURL: the
+// handle restores every shard from the leader's newest snapshot
+// generation, applies tailed journal records through the replay fold, and
+// publishes via the epoch-swap path — searches are byte-identical to the
+// leader at the same epoch. Its write path is absent (every Maintainer
+// method returns ErrReplicaReadOnly); RouteSearch sends reads the replica
+// cannot satisfy (MinEpoch ahead of the applied epoch, or lag past the
+// staleness bound) back to the leader; Close stops the tail loops while
+// the last applied state keeps serving. The ctx bounds the bootstrap
+// (manifest + snapshot fetch + restore). app may be nil when URL
+// formulation is not needed; it must match the leader's application for
+// URLs to agree.
+func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts ...ReplicaOption) (Handle, error) {
 	ctx = orBackground(ctx)
 	cfg := replicaConfig{staleness: DefaultStalenessBound}
 	for _, opt := range opts {
@@ -188,253 +144,59 @@ func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts .
 	if err != nil {
 		return nil, err
 	}
-	e := &ReplicaEngine{
-		rep:       rep,
-		leader:    leaderURL,
-		staleness: cfg.staleness,
-		workers:   cfg.workers,
-		candLimit: cfg.candLimit,
-	}
-	if single := rep.Single(); single != nil {
-		e.engine = search.New(single, app)
-	} else {
-		e.sharded = search.NewSharded(rep.Sharded(), app)
-		e.sharded.MaxFanout = cfg.workers
-	}
-	return e, nil
+	return &handle{
+		app:     app,
+		live:    rep.Live(),
+		engine:  search.NewSharded(rep.Live(), app),
+		replica: rep,
+		bound:   cfg.staleness,
+	}, nil
 }
 
-// Search answers one query from the replica's current applied state. A
-// request whose MinEpoch the replica has not reached fails with
-// ErrReplicaBehind (the HTTP layer forwards such requests to the leader
-// before they get here; direct library callers handle the error).
-func (e *ReplicaEngine) Search(ctx context.Context, req Request) ([]Result, error) {
-	if req.MinEpoch > 0 && e.rep.MinApplied() < req.MinEpoch {
-		return nil, fmt.Errorf("%w: want epoch %d, applied %d", ErrReplicaBehind, req.MinEpoch, e.rep.MinApplied())
+// behind refuses, on a replica, a request whose MinEpoch it has not
+// applied yet (the HTTP layer forwards such requests to the leader before
+// they get here; direct library callers handle the error).
+func (h *handle) behind(req Request) error {
+	if h.replica == nil || req.MinEpoch == 0 {
+		return nil
 	}
-	req = fillCandidateLimit(req, e.candLimit)
-	if e.engine != nil {
-		return e.engine.Search(ctx, req)
+	if applied := h.replica.MinApplied(); applied < req.MinEpoch {
+		return fmt.Errorf("%w: want epoch %d, applied %d", ErrReplicaBehind, req.MinEpoch, applied)
 	}
-	return e.sharded.Search(ctx, req)
+	return nil
 }
 
-// SearchBatch answers a batch against one pinned view; slots whose
-// MinEpoch the replica has not reached carry ErrReplicaBehind.
-func (e *ReplicaEngine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	applied := e.rep.MinApplied()
-	runnable := reqs
-	var behind []int
-	for i, req := range reqs {
-		if req.MinEpoch > 0 && applied < req.MinEpoch {
-			behind = append(behind, i)
+// RouteSearch places one read. A replica sends it to its leader when the
+// request's MinEpoch is ahead of the applied epoch or the replica lags
+// past its staleness bound. A routing leader turns a request with no
+// explicit MinEpoch into "at least the leader's highest shard epoch minus
+// the bound" and picks a replica that has applied that much, falling back
+// to local serving when none qualifies.
+func (h *handle) RouteSearch(req Request) (string, bool) {
+	switch {
+	case h.replica != nil:
+		if req.MinEpoch > 0 && h.replica.MinApplied() < req.MinEpoch {
+			return h.replica.Leader(), true
 		}
-	}
-	out := make([]BatchResult, len(reqs))
-	if len(behind) > 0 {
-		keep := make([]Request, 0, len(reqs)-len(behind))
-		for i, req := range reqs {
-			if req.MinEpoch > 0 && applied < req.MinEpoch {
-				out[i].Err = fmt.Errorf("%w: want epoch %d, applied %d", ErrReplicaBehind, req.MinEpoch, applied)
-				continue
+		if h.bound >= 0 && h.replica.MaxLag() > uint64(h.bound) {
+			return h.replica.Leader(), true
+		}
+	case h.router != nil:
+		minEpoch := req.MinEpoch
+		if minEpoch == 0 {
+			if h.bound < 0 {
+				// Unbounded staleness: any healthy replica qualifies.
+				return h.router.Pick(0)
 			}
-			keep = append(keep, req)
+			var cur uint64
+			for _, s := range h.engine.Pin() {
+				cur = max(cur, s.Epoch())
+			}
+			if cur > uint64(h.bound) {
+				minEpoch = cur - uint64(h.bound)
+			}
 		}
-		runnable = keep
-	}
-	var res []BatchResult
-	runnable = fillCandidateLimits(runnable, e.candLimit)
-	if e.engine != nil {
-		res = e.engine.ParallelSearch(ctx, runnable, e.workers)
-	} else {
-		res = e.sharded.SearchBatch(ctx, runnable)
-	}
-	if len(behind) == 0 {
-		return res
-	}
-	k := 0
-	for i := range out {
-		if out[i].Err == nil {
-			out[i] = res[k]
-			k++
-		}
-	}
-	return out
-}
-
-// Stats reports the replica's serving stats with the replication block
-// attached (EngineStats.Replication).
-func (e *ReplicaEngine) Stats() EngineStats {
-	var st EngineStats
-	if e.engine != nil {
-		st = e.engine.Stats()
-	} else {
-		st = e.sharded.Stats()
-	}
-	rs := e.rep.Stats()
-	st.Replication = &rs
-	return st
-}
-
-// ReplicationStats returns the tail report (satisfies
-// ReplicationReporter).
-func (e *ReplicaEngine) ReplicationStats() ReplicationStats { return e.rep.Stats() }
-
-// RouteSearch sends a read to the leader when the replica cannot satisfy
-// it: MinEpoch ahead of the applied epoch, or lag beyond the staleness
-// bound (satisfies SearchRouter).
-func (e *ReplicaEngine) RouteSearch(req Request) (string, bool) {
-	if req.MinEpoch > 0 && e.rep.MinApplied() < req.MinEpoch {
-		return e.leader, true
-	}
-	if e.staleness >= 0 && e.rep.MaxLag() > uint64(e.staleness) {
-		return e.leader, true
+		return h.router.Pick(minEpoch)
 	}
 	return "", false
-}
-
-// Leader returns the leader URL this replica tails.
-func (e *ReplicaEngine) Leader() string { return e.leader }
-
-// Converged reports whether every shard has applied the leader's last
-// reported durable epoch.
-func (e *ReplicaEngine) Converged() bool { return e.rep.MaxLag() == 0 && !e.rep.Severed() }
-
-// Close stops the tail loops. The last applied state keeps serving.
-func (e *ReplicaEngine) Close() error { return e.rep.Close() }
-
-// Maintainer surface: a replica has no write path.
-
-func (e *ReplicaEngine) Apply(context.Context, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) ApplyBatch(context.Context, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) Recrawl(context.Context, *Database, []FragmentID) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) RecrawlWith(context.Context, *Database, []FragmentID, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) RecrawlBatch(context.Context, *Database, []FragmentID, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-// CompactIfNeeded refuses: a local compaction would advance the replica's
-// epoch outside the leader's epoch sequence and collide with tailed
-// records — replicas inherit compaction through re-bootstrap instead.
-func (e *ReplicaEngine) CompactIfNeeded(context.Context, float64) (int, error) {
-	return 0, ErrReplicaReadOnly
-}
-
-var (
-	_ Handle              = (*ReplicaEngine)(nil)
-	_ SearchRouter        = (*ReplicaEngine)(nil)
-	_ ReplicationReporter = (*ReplicaEngine)(nil)
-)
-
-// readRouter is the leader-side placement decision shared by the routed
-// wrappers: effective minimum epoch (explicit MinEpoch, else current epoch
-// minus the staleness bound) against the router's polled replica epochs.
-type readRouter struct {
-	router *replic.Router
-	epoch  func() uint64 // current max epoch — atomic snapshot loads
-	bound  int64
-}
-
-func (r *readRouter) route(req Request) (string, bool) {
-	minEpoch := req.MinEpoch
-	if minEpoch == 0 {
-		if r.bound < 0 {
-			// Unbounded staleness: any healthy replica qualifies.
-			return r.router.Pick(0)
-		}
-		if cur := r.epoch(); cur > uint64(r.bound) {
-			minEpoch = cur - uint64(r.bound)
-		}
-	}
-	return r.router.Pick(minEpoch)
-}
-
-// routedDurable is a durable leader handle with bounded-staleness read
-// routing (dash.Open with WithReplicas): reads the HTTP layer offers it
-// are placed on a qualifying replica or kept local; everything else is the
-// wrapped durable handle.
-type routedDurable struct {
-	*durableHandle
-	rt readRouter
-}
-
-func (h *routedDurable) RouteSearch(req Request) (string, bool) { return h.rt.route(req) }
-
-func (h *routedDurable) Stats() EngineStats {
-	st := h.durableHandle.Stats()
-	rs := h.rt.router.Stats()
-	st.Replicas = &rs
-	return st
-}
-
-// Close stops the replica poller, then the durable store.
-func (h *routedDurable) Close() error {
-	h.rt.router.Stop()
-	return h.durableHandle.Close()
-}
-
-// routedCached is routedDurable over a cache/admission-wrapped leader.
-type routedCached struct {
-	*cachedDurable
-	rt readRouter
-}
-
-func (h *routedCached) RouteSearch(req Request) (string, bool) { return h.rt.route(req) }
-
-func (h *routedCached) Stats() EngineStats {
-	st := h.cachedDurable.Stats()
-	rs := h.rt.router.Stats()
-	st.Replicas = &rs
-	return st
-}
-
-func (h *routedCached) Close() error {
-	h.rt.router.Stop()
-	return h.cachedDurable.Close()
-}
-
-// wrapReplicas layers the read router over a freshly opened durable
-// leader handle. Called by Open when WithReplicas was given.
-func wrapReplicas(h Handle, cfg openConfig) (Handle, error) {
-	if cfg.dataDir == "" {
-		return nil, fmt.Errorf("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
-	}
-	router := replic.NewRouter(cfg.replicaURLs, replic.RouterOptions{})
-	var d *durableHandle
-	switch t := h.(type) {
-	case *durableHandle:
-		d = t
-	case *cachedDurable:
-		d = t.d
-	default:
-		router.Stop()
-		return nil, fmt.Errorf("dash: cannot route reads over %T", h)
-	}
-	epoch := func() uint64 {
-		if d.live != nil {
-			return d.live.Snapshot().Epoch()
-		}
-		var m uint64
-		for _, s := range d.sharded.PinAll() {
-			m = max(m, s.Epoch())
-		}
-		return m
-	}
-	rt := readRouter{router: router, epoch: epoch, bound: cfg.stalenessBound}
-	if c, ok := h.(*cachedDurable); ok {
-		return &routedCached{cachedDurable: c, rt: rt}, nil
-	}
-	return &routedDurable{durableHandle: d, rt: rt}, nil
 }

@@ -10,8 +10,8 @@ package dash
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fragindex"
 	"repro/internal/relation"
 )
 
@@ -90,12 +89,12 @@ const crawlOpRemove = OpRemoveFragment
 // dashserve does and returns the leader base URL.
 func serveReplication(t *testing.T, h Handle) string {
 	t.Helper()
-	rep, ok := h.(Replicable)
-	if !ok {
-		t.Fatalf("handle %T is not Replicable", h)
+	rh := h.ReplicationHandler()
+	if rh == nil {
+		t.Fatal("handle serves no replication transport")
 	}
 	mux := http.NewServeMux()
-	mux.Handle(ReplicationPrefix+"/", http.StripPrefix(ReplicationPrefix, rep.ReplicationHandler()))
+	mux.Handle(ReplicationPrefix+"/", http.StripPrefix(ReplicationPrefix, rh))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv.URL
@@ -103,11 +102,11 @@ func serveReplication(t *testing.T, h Handle) string {
 
 // waitReplicaConverged blocks until every shard's applied epoch equals the
 // leader's durable epoch for that shard.
-func waitReplicaConverged(t *testing.T, leader Handle, rep *ReplicaEngine) {
+func waitReplicaConverged(t *testing.T, leader, rep Handle) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		ds := leader.(DurabilityReporter).DurabilityStats()
+		ds := leader.DurabilityStats()
 		rs := rep.ReplicationStats()
 		converged := len(ds.PerShard) == len(rs.PerShard) && len(ds.PerShard) > 0
 		for i := range ds.PerShard {
@@ -126,21 +125,6 @@ func waitReplicaConverged(t *testing.T, leader Handle, rep *ReplicaEngine) {
 	}
 }
 
-// replicaDumps captures the replica's canonical per-shard state for exact
-// comparison against the leader's dumpsOf.
-func replicaDumps(rep *ReplicaEngine) []*fragindex.Dump {
-	r := rep.rep
-	if s := r.Single(); s != nil {
-		return []*fragindex.Dump{s.Dump()}
-	}
-	sh := r.Sharded()
-	out := make([]*fragindex.Dump, sh.NumShards())
-	for i := range out {
-		out[i] = sh.Shard(i).Dump()
-	}
-	return out
-}
-
 // TestReplicaLeaderEquivalenceProperty drives a reproducible random
 // mutation stream through a durable leader while a live replica tails it,
 // and at every converged epoch asserts (a) the full query battery answers
@@ -156,7 +140,7 @@ func TestReplicaLeaderEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h.(io.Closer).Close()
+			defer h.Close()
 			leaderURL := serveReplication(t, h)
 
 			rep, err := OpenReplica(context.Background(), leaderURL, app,
@@ -181,7 +165,7 @@ func TestReplicaLeaderEquivalenceProperty(t *testing.T) {
 				case rounds / 2:
 					// Journal rotation mid-stream: the tail cursor must
 					// carry across the segment boundary.
-					if err := h.(Checkpointer).Checkpoint(context.Background()); err != nil {
+					if err := h.Checkpoint(context.Background()); err != nil {
 						t.Fatal(err)
 					}
 				case rounds - 2:
@@ -196,24 +180,21 @@ func TestReplicaLeaderEquivalenceProperty(t *testing.T) {
 				if got, want := searchAll(t, rep, equivQueries...), searchAll(t, h, equivQueries...); !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: replica answers diverged from leader\n got %+v\nwant %+v", round, got, want)
 				}
-				if got, want := replicaDumps(rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
+				if got, want := dumpsOf(t, rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: canonical replica state diverged", round)
 				}
 			}
-			if !rep.Converged() {
-				t.Error("replica not Converged() after final round")
-			}
 			rs := rep.Stats()
-			if rs.Replication == nil || rs.Replication.State != "tailing" {
-				t.Errorf("replication stats block = %+v", rs.Replication)
+			if rs.Replication == nil || rs.Replication.State != "tailing" || rs.Replication.MaxLag != 0 {
+				t.Errorf("replication stats block after the final round = %+v", rs.Replication)
 			}
 		})
 	}
 }
 
 // TestWithReplicasOptionSurface: option validation and the routing
-// leader's shape — WithReplicas needs a durable handle, the routed handle
-// keeps its capability set, and Stats grows the router block.
+// leader's shape — WithReplicas needs a durable handle, the router layer
+// sits beside the durable one, and Stats grows the router block.
 func TestWithReplicasOptionSurface(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 
@@ -233,24 +214,17 @@ func TestWithReplicasOptionSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.(io.Closer).Close()
-	// The routed wrapper keeps the durable capability set.
-	if _, ok := h.(Checkpointer); !ok {
-		t.Error("routed handle lost Checkpointer")
+	defer h.Close()
+	// The router layer sits beside the durable one.
+	if h.DurabilityStats() == nil || h.ReplicationHandler() == nil {
+		t.Error("routed handle lost its durable layer")
 	}
-	if _, ok := h.(DurabilityReporter); !ok {
-		t.Error("routed handle lost DurabilityReporter")
-	}
-	if _, ok := h.(Replicable); !ok {
-		t.Error("routed handle lost Replicable")
-	}
-	sr, ok := h.(SearchRouter)
-	if !ok {
-		t.Fatal("routing handle does not implement SearchRouter")
+	if err := h.Checkpoint(context.Background()); err != nil {
+		t.Errorf("routed handle Checkpoint: %v", err)
 	}
 	// The only configured replica is unreachable, so every placement falls
 	// back to serving locally.
-	if target, proxy := sr.RouteSearch(Request{MinEpoch: 1}); proxy {
+	if target, proxy := h.RouteSearch(Request{MinEpoch: 1}); proxy {
 		t.Errorf("routed to unreachable replica %q", target)
 	}
 	st := h.Stats()
@@ -269,7 +243,7 @@ func TestReplicaHandleContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.(io.Closer).Close()
+	defer h.Close()
 	leaderURL := serveReplication(t, h)
 
 	rep, err := OpenReplica(context.Background(), leaderURL, app,
@@ -292,6 +266,18 @@ func TestReplicaHandleContract(t *testing.T) {
 	}
 	if _, err := rep.CompactIfNeeded(context.Background(), 0.5); err != ErrReplicaReadOnly {
 		t.Errorf("CompactIfNeeded on replica = %v, want ErrReplicaReadOnly", err)
+	}
+	if _, err := rep.Queue(d); err != ErrReplicaReadOnly {
+		t.Errorf("Queue on replica = %v, want ErrReplicaReadOnly", err)
+	}
+	if _, err := rep.Flush(context.Background()); err != ErrReplicaReadOnly {
+		t.Errorf("Flush on replica = %v, want ErrReplicaReadOnly", err)
+	}
+	if err := rep.Checkpoint(context.Background()); !errors.Is(err, ErrNotDurable) {
+		t.Errorf("Checkpoint on replica = %v, want ErrNotDurable", err)
+	}
+	if rep.ReplicationHandler() != nil || rep.DurabilityStats() != nil {
+		t.Error("replica claims a durable leader's layers")
 	}
 
 	applied := rep.ReplicationStats().MinApplied
