@@ -8,7 +8,9 @@ package dash
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/fooddb"
@@ -173,5 +175,76 @@ func TestHandleMaintenanceCancellation(t *testing.T) {
 		if _, err := h.Apply(context.Background(), d); err != nil {
 			t.Fatalf("shards=%d: apply after cancellation: %v", shards, err)
 		}
+	}
+}
+
+// TestHandleConcurrentQueueFlush races producers queueing inserts, a
+// flusher, and cached searchers on one handle (run with -race): every
+// queued delta is published exactly once, and the queue ends empty.
+func TestHandleConcurrentQueueFlush(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	h, err := Open(context.Background(), build(), app, WithShards(3), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const producers, perProducer = 4, 25
+	ctx := context.Background()
+	var producersWG, others sync.WaitGroup
+	stop := make(chan struct{})
+	for p := 0; p < producers; p++ {
+		producersWG.Add(1)
+		go func(p int) {
+			defer producersWG.Done()
+			for i := 0; i < perProducer; i++ {
+				d := Delta{Changes: []FragmentChange{{
+					Op: OpInsertFragment, ID: FragmentID{relation.String(fmt.Sprintf("Q%d", p)), relation.Int(int64(i))},
+					TermCounts: map[string]int64{"herring": 1}, TotalTerms: 1,
+				}}}
+				if _, err := h.Queue(d); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	others.Add(2)
+	go func() {
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := h.Flush(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer others.Done()
+		req := Request{Keywords: []string{"herring"}, K: 3, SizeThreshold: 5}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, _, err := h.SearchStatus(ctx, req); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	producersWG.Wait()
+	close(stop)
+	others.Wait()
+	if _, err := h.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	if st.Queued != 0 || st.Inserted != producers*perProducer {
+		t.Errorf("after the final flush: queued %d, inserted %d, want 0 and %d", st.Queued, st.Inserted, producers*perProducer)
 	}
 }
