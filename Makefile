@@ -12,6 +12,7 @@ test: build
 
 race:
 	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./internal/replic/ ./cmd/dashserve/
+	$(GO) test -race -run 'TestHandleConcurrentQueueFlush|TestQueueFlush' .
 
 vet:
 	$(GO) vet ./...

@@ -332,12 +332,12 @@ type handle struct {
 	bound int64
 }
 
-// Stats reports the index's serving stats (Queued includes the handle's
-// Queue buffer) with a block for each present layer.
+// Stats reports the index's serving stats (Queued is the handle's Queue
+// buffer) with a block for each present layer.
 func (h *handle) Stats() EngineStats {
 	st := h.engine.Stats()
 	h.pendMu.Lock()
-	st.Queued += len(h.pending)
+	st.Queued = len(h.pending)
 	h.pendMu.Unlock()
 	if h.cache != nil {
 		cs := h.cache.Stats()

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -175,6 +176,86 @@ func TestHandleMaintenanceCancellation(t *testing.T) {
 		if _, err := h.Apply(context.Background(), d); err != nil {
 			t.Fatalf("shards=%d: apply after cancellation: %v", shards, err)
 		}
+
+		// A pre-cancelled Flush must not drain the queue: the buffered
+		// delta survives for a later Flush instead of being dropped.
+		if _, err := h.Queue(Delta{Changes: []FragmentChange{{Op: OpRemoveFragment, ID: d.Changes[0].ID}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Flush(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: pre-cancelled Flush err = %v", shards, err)
+		}
+		if n := h.Stats().Queued; n != 1 {
+			t.Fatalf("shards=%d: pre-cancelled Flush drained the queue: %d queued, want 1", shards, n)
+		}
+		if _, err := h.Flush(context.Background()); err != nil {
+			t.Fatalf("shards=%d: Flush after cancellation: %v", shards, err)
+		}
+		if h.(*handle).live.Has(d.Changes[0].ID) {
+			t.Errorf("shards=%d: queued removal was lost", shards)
+		}
+	}
+}
+
+// TestQueueFlush: queued deltas accumulate without publishing, and one
+// Flush folds them all into a single publish.
+func TestQueueFlush(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	h, err := Open(context.Background(), build(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := h.(*handle).live
+	s0 := live.PinAll()
+	before := h.Stats()
+	id := FragmentID{relation.String("American"), relation.Int(10)}
+	for i := 1; i <= 3; i++ {
+		n, err := h.Queue(Delta{Changes: []FragmentChange{{
+			Op: OpUpdateFragment, ID: id,
+			TermCounts: map[string]int64{"burger": int64(i)}, TotalTerms: int64(i),
+		}}})
+		if err != nil || n != i {
+			t.Errorf("Queue returned %d, %v, want %d", n, err, i)
+		}
+	}
+	if !slices.Equal(live.PinAll(), s0) {
+		t.Error("Queue published a snapshot")
+	}
+	if q := h.Stats().Queued; q != 3 {
+		t.Errorf("Queued = %d, want 3", q)
+	}
+	rep, err := h.Flush(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total.Deltas != 3 || rep.Total.Updated != 1 {
+		t.Errorf("flush report = %+v, want 3 deltas folded to 1 update", rep.Total)
+	}
+	st := h.Stats()
+	if st.Queued != 0 {
+		t.Errorf("Queued after flush = %d", st.Queued)
+	}
+	if st.Publishes != before.Publishes+1 || st.DeltasApplied != before.DeltasApplied+3 {
+		t.Errorf("stats after flush: publishes %d->%d, deltas %d->%d, want +1 and +3",
+			before.Publishes, st.Publishes, before.DeltasApplied, st.DeltasApplied)
+	}
+	// The folded update carries the last queued statistics.
+	shard, err := live.ShardFor(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := live.Shard(shard).Snapshot()
+	ref, ok := snap.Lookup(id)
+	if !ok {
+		t.Fatal("updated fragment vanished")
+	}
+	if got := snap.TermsOf(ref); got != 3 {
+		t.Errorf("terms after fold = %d, want 3 (last update wins)", got)
+	}
+	// Flushing an empty queue is a no-op.
+	sBefore := live.PinAll()
+	if rep, err := h.Flush(context.Background()); err != nil || !slices.Equal(live.PinAll(), sBefore) {
+		t.Errorf("empty flush: report %+v err %v, snapshot changed=%v", rep, err, !slices.Equal(live.PinAll(), sBefore))
 	}
 }
 

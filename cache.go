@@ -16,7 +16,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fragindex"
@@ -63,8 +63,9 @@ type CachedSearcher interface {
 	// SearchStatus is Search plus the cache outcome.
 	SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error)
 	// SearchBatchStatus is SearchBatch plus the batch-aggregate outcome:
-	// CacheHit when every request was answered from the cache, CacheMiss
-	// when any request ran a search.
+	// CacheHit only when every request was answered from the cache,
+	// otherwise CacheMiss (CacheBypass without a cache, or when the whole
+	// batch was shed).
 	SearchBatchStatus(ctx context.Context, reqs []Request) ([]BatchResult, CacheStatus)
 }
 
@@ -126,16 +127,17 @@ func (h *handle) SearchStatus(ctx context.Context, req Request) ([]Result, Cache
 		return nil, CacheBypass, err
 	}
 	defer release()
-	if h.cache == nil {
-		res, err := h.run(ctx, h.engine.Pin(), req)
-		return res, CacheBypass, err
-	}
-	return h.cached(ctx, h.engine.Pin(), req)
+	return h.answer(ctx, h.engine.Pin(), req)
 }
 
-// cached answers one request through the result cache against a pinned
-// view, reporting hit or miss.
-func (h *handle) cached(ctx context.Context, snaps []*fragindex.Snapshot, req Request) ([]Result, CacheStatus, error) {
+// answer runs one admitted request against a pinned view — through the
+// result cache when there is one, reporting hit or miss, and straight to
+// the engine (CacheBypass) when there is not.
+func (h *handle) answer(ctx context.Context, snaps []*fragindex.Snapshot, req Request) ([]Result, CacheStatus, error) {
+	if h.cache == nil {
+		res, err := h.run(ctx, snaps, req)
+		return res, CacheBypass, err
+	}
 	req = search.NormalizeRequest(req)
 	pins := search.PinEpochs(nil, snaps, req.Keywords)
 	res, outcome, err := h.cache.Do(ctx, search.CacheKey(req, pins), pins, func(ctx context.Context) ([]Result, error) {
@@ -177,66 +179,48 @@ func (h *handle) SearchBatch(ctx context.Context, reqs []Request) []BatchResult 
 // SearchBatchStatus evaluates a batch over one pinned view (every request
 // observes the same index state, the SearchBatch contract) on a
 // GOMAXPROCS-bounded worker pool; each request takes the single-search
-// path from the cache on. Admission is per batch — one admitted batch
-// holds one in-flight slot, and a shed batch fails every slot with
-// ErrOverloaded. The status is CacheHit when every request was answered
-// from the cache, CacheMiss when any ran a search.
+// path from the replica's MinEpoch check on. Admission is per batch — one
+// admitted batch holds one in-flight slot, and a shed batch fails every
+// slot with ErrOverloaded. The status is CacheHit only when every request
+// was answered from the cache; a slot that ran a search, was refused, or
+// was abandoned by a cancellation makes it CacheMiss.
 func (h *handle) SearchBatchStatus(ctx context.Context, reqs []Request) ([]BatchResult, CacheStatus) {
 	ctx = orBackground(ctx)
 	out := make([]BatchResult, len(reqs))
-	status := CacheBypass
-	if h.cache != nil {
-		status = CacheHit
-	}
-	if len(reqs) == 0 {
-		return out, status
-	}
-	release, err := h.admit(ctx)
-	if err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out, CacheBypass
-	}
-	defer release()
-	snaps := h.engine.Pin()
-	var mu sync.Mutex // guards status demotion across workers
-	workers := min(runtime.GOMAXPROCS(0), len(reqs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					out[i].Err = err
-					continue
-				}
-				if err := h.behind(reqs[i]); err != nil {
-					out[i].Err = err
-					continue
-				}
-				if h.cache == nil {
-					out[i].Results, out[i].Err = h.run(ctx, snaps, reqs[i])
-					continue
-				}
-				var st CacheStatus
-				out[i].Results, st, out[i].Err = h.cached(ctx, snaps, reqs[i])
-				if st == CacheMiss {
-					mu.Lock()
-					status = CacheMiss
-					mu.Unlock()
-				}
+	if len(reqs) > 0 {
+		release, err := h.admit(ctx)
+		if err != nil {
+			for i := range out {
+				out[i].Err = err
 			}
-		}()
+			return out, CacheBypass
+		}
+		defer release()
 	}
-	for i := range reqs {
-		next <- i
+	snaps := h.engine.Pin()
+	var hits atomic.Int64
+	search.RunPool(ctx, len(reqs), runtime.GOMAXPROCS(0), func(i int, err error) {
+		if err != nil {
+			out[i].Err = err // abandoned: queued behind the cancellation
+			return
+		}
+		if err := h.behind(reqs[i]); err != nil {
+			out[i].Err = err
+			return
+		}
+		var st CacheStatus
+		out[i].Results, st, out[i].Err = h.answer(ctx, snaps, reqs[i])
+		if st == CacheHit {
+			hits.Add(1)
+		}
+	})
+	switch {
+	case h.cache == nil:
+		return out, CacheBypass
+	case hits.Load() == int64(len(reqs)):
+		return out, CacheHit
 	}
-	close(next)
-	wg.Wait()
-	return out, status
+	return out, CacheMiss
 }
 
 // sweep drops cache entries pinning epochs the current read view has

@@ -329,6 +329,39 @@ func TestCachedHandleCapabilities(t *testing.T) {
 	}
 }
 
+// TestCachedBatchCancelledNotHit: a batch whose slots a cancellation
+// abandoned never reached the cache, so its status is not CacheHit — even
+// when the cache holds an answer for every slot. dashserve writes this
+// status to X-Cache on the 499/504 envelope.
+func TestCachedBatchCancelledNotHit(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	h, err := Open(context.Background(), build(), app, WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Request{
+		{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20},
+		{Keywords: []string{"coffee"}, K: 3, SizeThreshold: 10},
+	}
+	if _, st := h.SearchBatchStatus(context.Background(), reqs); st != CacheMiss {
+		t.Fatalf("cold batch: %s, want miss", st)
+	}
+	if _, st := h.SearchBatchStatus(context.Background(), reqs); st != CacheHit {
+		t.Fatalf("warm batch: %s, want hit", st)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, st := h.SearchBatchStatus(ctx, reqs)
+	for i, br := range out {
+		if !errors.Is(br.Err, context.Canceled) {
+			t.Errorf("slot %d err = %v, want context.Canceled", i, br.Err)
+		}
+	}
+	if st != CacheMiss {
+		t.Errorf("pre-cancelled batch: %s, want miss", st)
+	}
+}
+
 // TestAdmissionControlHandle: a request whose deadline budget is below
 // the floor sheds with ErrOverloaded before touching the engine; ample
 // budgets serve normally; counters surface through Stats.

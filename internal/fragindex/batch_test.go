@@ -175,53 +175,6 @@ func TestApplyBatchTransactional(t *testing.T) {
 	}
 }
 
-// TestQueueFlush: queued deltas accumulate without publishing, and one
-// Flush folds them all into a single publish.
-func TestQueueFlush(t *testing.T) {
-	l := liveFooddb(t)
-	s0 := l.Snapshot()
-	id := fragment.ID{relation.String("American"), relation.Int(10)}
-	for i := 1; i <= 3; i++ {
-		n := l.Queue(updateDelta(id, map[string]int64{"burger": int64(i)}, int64(i)))
-		if n != i {
-			t.Errorf("Queue returned %d, want %d", n, i)
-		}
-	}
-	if l.Snapshot() != s0 {
-		t.Error("Queue published a snapshot")
-	}
-	if l.Pending() != 3 {
-		t.Errorf("Pending = %d, want 3", l.Pending())
-	}
-	st, err := l.Flush(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Deltas != 3 || st.Updated != 1 {
-		t.Errorf("flush stats = %+v, want 3 deltas folded to 1 update", st)
-	}
-	if l.Pending() != 0 {
-		t.Errorf("Pending after flush = %d", l.Pending())
-	}
-	if stats := l.Stats(); stats.Publishes != 1 || stats.DeltasApplied != 3 {
-		t.Errorf("stats after flush = %+v", stats)
-	}
-	// The folded update carries the last queued statistics.
-	s := l.Snapshot()
-	ref, ok := s.Lookup(id)
-	if !ok {
-		t.Fatal("updated fragment vanished")
-	}
-	if got := s.TermsOf(ref); got != 3 {
-		t.Errorf("terms after fold = %d, want 3 (last update wins)", got)
-	}
-	// Flushing an empty queue is a no-op.
-	sBefore := l.Snapshot()
-	if st, err := l.Flush(context.Background()); err != nil || l.Snapshot() != sBefore {
-		t.Errorf("empty flush: stats %+v err %v, snapshot changed=%v", st, err, l.Snapshot() != sBefore)
-	}
-}
-
 // TestStalePlanApplyFails reproduces the maintenance race the derive/apply
 // split exposes: a delta derived against one snapshot (classifying an
 // identifier as update) can meet an index where a concurrent writer has

@@ -139,7 +139,7 @@ func NewShardedLiveFrom(builders []*Index) (*ShardedLiveIndex, error) {
 func (sl *ShardedLiveIndex) NumShards() int { return len(sl.shards) }
 
 // Shard returns shard i's LiveIndex for direct access (per-shard stats,
-// queueing, explicit snapshots).
+// explicit snapshots).
 func (sl *ShardedLiveIndex) Shard(i int) *LiveIndex { return sl.shards[i] }
 
 // Spec returns the index's selection-attribute structure.
@@ -349,17 +349,6 @@ func (sl *ShardedLiveIndex) CompactIfNeeded(ctx context.Context, maxDeadRatio fl
 	return n, nil
 }
 
-// SetPostingCompaction tunes every shard's posting-list compaction
-// threshold (see Index.SetPostingCompaction).
-func (sl *ShardedLiveIndex) SetPostingCompaction(num, den int) error {
-	for _, sh := range sl.shards {
-		if err := sh.SetPostingCompaction(num, den); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ShardedLiveStats aggregates the per-shard serving statistics. Counters
 // are sums across shards, except DeltasApplied, which counts logical
 // deltas routed through Apply/ApplyBatch — the same meaning a single
@@ -377,13 +366,12 @@ type ShardedLiveStats struct {
 	MaxEpoch       uint64  `json:"max_epoch"`
 	DeltasApplied  uint64  `json:"deltas_applied"`
 	Publishes      uint64  `json:"publishes"`
-	Queued         int     `json:"queued_deltas"`
 	Inserted       uint64  `json:"fragments_inserted"`
 	Removed        uint64  `json:"fragments_removed"`
 	Updated        uint64  `json:"fragments_updated"`
 	Compactions    uint64  `json:"compactions"`
-	// PerShard carries each shard's own stats (epoch, pending queue,
-	// publish counters) in shard order.
+	// PerShard carries each shard's own stats (epoch, publish counters)
+	// in shard order.
 	PerShard []LiveStats `json:"per_shard"`
 }
 
@@ -402,7 +390,6 @@ func (sl *ShardedLiveIndex) Stats() ShardedLiveStats {
 			out.MaxEpoch = st.Epoch
 		}
 		out.Publishes += st.Publishes
-		out.Queued += st.Queued
 		out.Inserted += st.Inserted
 		out.Removed += st.Removed
 		out.Updated += st.Updated

@@ -391,8 +391,8 @@ func TestShardedBadShardCount(t *testing.T) {
 	}
 }
 
-// TestSetPostingCompaction validates the tunable threshold plumbing at all
-// three layers (Index, LiveIndex, ShardedLiveIndex).
+// TestSetPostingCompaction validates the tunable threshold on Index: bad
+// ratios are refused, and Compact carries a tuned threshold over.
 func TestSetPostingCompaction(t *testing.T) {
 	idx := buildSynthIndex(t, 4, 2)
 	for _, bad := range [][2]int{{0, 4}, {1, 0}, {3, 2}, {-1, -1}} {
@@ -410,16 +410,6 @@ func TestSetPostingCompaction(t *testing.T) {
 	}
 	if compacted.compactNum != 1 || compacted.compactDen != 2 {
 		t.Errorf("Compact dropped threshold: %d/%d", compacted.compactNum, compacted.compactDen)
-	}
-	sl, err := NewShardedLive(buildSynthIndex(t, 4, 2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sl.SetPostingCompaction(1, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := sl.SetPostingCompaction(9, 8); err == nil {
-		t.Error("sharded SetPostingCompaction(9/8) accepted")
 	}
 }
 

@@ -197,21 +197,6 @@ func TestShardedSearchCancelled(t *testing.T) {
 	}
 }
 
-// TestMultiEngineCancelled: the federated fan-out fails fast too.
-func TestMultiEngineCancelled(t *testing.T) {
-	m := NewMulti(fooddbEngine(t), fooddbEngine(t))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.Search(ctx, Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Search err = %v, want context.Canceled", err)
-	}
-	for _, br := range m.SearchBatch(ctx, make([]Request, 3)) {
-		if !errors.Is(br.Err, context.Canceled) {
-			t.Fatalf("batch slot err = %v, want context.Canceled", br.Err)
-		}
-	}
-}
-
 // TestNilContextTolerated: a nil ctx degrades to Background everywhere
 // instead of panicking deep in the loop.
 func TestNilContextTolerated(t *testing.T) {
@@ -272,24 +257,6 @@ func TestLiveApplyCancelled(t *testing.T) {
 		t.Error("post-rollback apply not visible")
 	}
 
-	// A pre-cancelled Flush must not drain the queue: the buffered deltas
-	// survive for a later Flush instead of being silently dropped.
-	live.Queue(crawl.Delta{Changes: []crawl.FragmentChange{{
-		Op: crawl.OpRemoveFragment,
-		ID: fragment.ID{relation.String("Nordic"), relation.Int(63)},
-	}}})
-	if _, err := live.Flush(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled Flush err = %v", err)
-	}
-	if n := live.Pending(); n != 1 {
-		t.Fatalf("pre-cancelled Flush drained the queue: %d pending, want 1", n)
-	}
-	if _, err := live.Flush(context.Background()); err != nil {
-		t.Fatalf("Flush after cancellation: %v", err)
-	}
-	if live.Snapshot().Has(fragment.ID{relation.String("Nordic"), relation.Int(63)}) {
-		t.Error("queued removal was lost")
-	}
 }
 
 // TestCancelStressUnderPublishes is the -race stress for the new ctx

@@ -15,9 +15,8 @@ type BatchResult struct {
 
 // clampWorkers resolves a worker-count knob to an effective pool size:
 // zero and negative values mean "let the runtime decide" (GOMAXPROCS).
-// Every concurrency entry point — ParallelSearch, MultiEngine.Search, the
-// ShardedEngine scatter — resolves its knob through this one helper, so
-// the <= 0 convention cannot drift between call sites.
+// Both ParallelSearch entry points resolve their knob through this one
+// helper, so the <= 0 convention cannot drift between call sites.
 func clampWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -25,19 +24,21 @@ func clampWorkers(n int) int {
 	return n
 }
 
-// runPool runs run(0) … run(n-1) over at most `workers` goroutines:
-// exactly the classic shared-counter worker pool, extracted once so every
-// fan-out in this package (request batches, the federated engine scatter,
-// the sharded scatter) keeps identical scheduling and the single-worker
-// fast path stays goroutine-free. Callers own per-index cancellation
-// checks inside run — the pool itself always drains all n indices.
-func runPool(n, workers int, run func(int)) {
+// RunPool calls run(i, err) once for every i in [0, n) over at most
+// `workers` goroutines: exactly the classic shared-counter worker pool,
+// written once so every fan-out (request batches here and in the serving
+// handle, the sharded scatter) keeps identical scheduling and the
+// single-worker fast path stays goroutine-free. err is ctx.Err() as
+// observed when index i was dispatched: non-nil means the slot was
+// abandoned behind a cancellation, and run records err instead of
+// working. The pool always drains all n indices.
+func RunPool(ctx context.Context, n, workers int, run func(i int, err error)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			run(i)
+			run(i, ctx.Err())
 		}
 		return
 	}
@@ -52,19 +53,11 @@ func runPool(n, workers int, run func(int)) {
 				if i >= n {
 					return
 				}
-				run(i)
+				run(i, ctx.Err())
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// SearchBatch evaluates a batch of requests concurrently with a
-// runtime-chosen worker count — the Searcher-contract form of
-// ParallelSearch. out[i] answers reqs[i]; the whole batch is pinned to one
-// snapshot.
-func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	return e.ParallelSearch(ctx, reqs, 0)
 }
 
 // ParallelSearch evaluates N requests over at most `workers` goroutines
@@ -83,9 +76,8 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult 
 // completed carries ctx.Err(). An already-cancelled ctx touches no
 // snapshot and marks every slot.
 //
-// This is the batch serving primitive: cmd/dashserve answers multi-query
-// requests through it, and cmd/dashbench's parallel experiment measures
-// its throughput scaling.
+// cmd/dashbench's parallel experiment measures its throughput scaling;
+// served batches go through the dash handle's SearchBatch instead.
 func (e *Engine) ParallelSearch(ctx context.Context, reqs []Request, workers int) []BatchResult {
 	ctx = orBackground(ctx)
 	out := make([]BatchResult, len(reqs))
@@ -99,8 +91,8 @@ func (e *Engine) ParallelSearch(ctx context.Context, reqs []Request, workers int
 		return out
 	}
 	snap := e.src.Snapshot()
-	runPool(len(reqs), clampWorkers(workers), func(i int) {
-		if err := ctx.Err(); err != nil {
+	RunPool(ctx, len(reqs), clampWorkers(workers), func(i int, err error) {
+		if err != nil {
 			out[i].Err = err // abandoned: queued behind the cancellation
 			return
 		}

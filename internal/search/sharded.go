@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/fragindex"
@@ -57,12 +58,7 @@ import (
 type ShardedEngine struct {
 	live    *fragindex.ShardedLiveIndex
 	engines []*Engine
-	app     *webapp.Application
 	scratch sync.Pool // *shardedScratch
-	// MaxFanout bounds how many shards one Search scatters over
-	// concurrently (<= 0 means GOMAXPROCS). Set it before serving
-	// traffic; it is not synchronized with in-flight searches.
-	MaxFanout int
 }
 
 // shardedScratch pools the scatter bookkeeping one sharded query needs, so
@@ -96,7 +92,7 @@ func (s *shardedScratch) release() {
 // NewSharded creates a scatter-gather engine over a sharded live index.
 // app may be nil when URL formulation is not needed.
 func NewSharded(live *fragindex.ShardedLiveIndex, app *webapp.Application) *ShardedEngine {
-	se := &ShardedEngine{live: live, app: app}
+	se := &ShardedEngine{live: live}
 	se.scratch.New = func() any { return new(shardedScratch) }
 	se.engines = make([]*Engine, live.NumShards())
 	for i := range se.engines {
@@ -104,15 +100,6 @@ func NewSharded(live *fragindex.ShardedLiveIndex, app *webapp.Application) *Shar
 	}
 	return se
 }
-
-// Live returns the underlying sharded index.
-func (se *ShardedEngine) Live() *fragindex.ShardedLiveIndex { return se.live }
-
-// App returns the engine's application (may be nil).
-func (se *ShardedEngine) App() *webapp.Application { return se.app }
-
-// NumShards returns the shard count.
-func (se *ShardedEngine) NumShards() int { return len(se.engines) }
 
 // Pin resolves the current snapshot of every shard — the read view one
 // query (or one batch) runs against. Each snapshot is immutable, so a
@@ -133,12 +120,12 @@ func (se *ShardedEngine) Search(ctx context.Context, req Request) ([]Result, err
 
 // SearchPinned runs one request against an explicitly pinned shard
 // snapshot set (from Pin): seeds global IDF over the set, scatters the
-// scoring core across shards on the worker pool, and merges the per-shard
-// top-k lists into the canonical global top-k. A cancelled ctx abandons
-// the shards still queued — in-flight shard runs stop at their next
-// cooperative check — and the call returns ctx.Err().
+// scoring core across shards on a GOMAXPROCS-bounded worker pool, and
+// merges the per-shard top-k lists into the canonical global top-k. A
+// cancelled ctx abandons the shards still queued — in-flight shard runs
+// stop at their next cooperative check — and the call returns ctx.Err().
 func (se *ShardedEngine) SearchPinned(ctx context.Context, snaps []*fragindex.Snapshot, req Request) ([]Result, error) {
-	return se.searchPinned(orBackground(ctx), snaps, req, clampWorkers(se.MaxFanout))
+	return se.searchPinned(orBackground(ctx), snaps, req, runtime.GOMAXPROCS(0))
 }
 
 func (se *ShardedEngine) searchPinned(ctx context.Context, snaps []*fragindex.Snapshot, req Request, workers int) ([]Result, error) {
@@ -215,8 +202,8 @@ func (se *ShardedEngine) searchPinned(ctx context.Context, snaps []*fragindex.Sn
 		errs = errs[:n]
 	}
 	s.errs = errs
-	runPool(n, workers, func(i int) {
-		if err := ctx.Err(); err != nil {
+	RunPool(ctx, n, workers, func(i int, err error) {
+		if err != nil {
 			errs[i] = err // abandoned: this shard was queued behind the cancellation
 			return
 		}
@@ -258,14 +245,6 @@ func (se *ShardedEngine) searchPinned(ctx context.Context, snaps []*fragindex.Sn
 	return all, nil
 }
 
-// SearchBatch evaluates a batch of requests concurrently with a
-// runtime-chosen worker count — the Searcher-contract form of
-// ParallelSearch. out[i] answers reqs[i]; the whole batch is pinned to one
-// shard snapshot set.
-func (se *ShardedEngine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	return se.ParallelSearch(ctx, reqs, 0)
-}
-
 // ParallelSearch evaluates N requests over at most `workers` goroutines
 // (workers <= 0 means GOMAXPROCS). The whole batch is pinned to one shard
 // snapshot set, so every request observes the same index state; out[i]
@@ -287,8 +266,8 @@ func (se *ShardedEngine) ParallelSearch(ctx context.Context, reqs []Request, wor
 		return out
 	}
 	snaps := se.Pin()
-	runPool(len(reqs), clampWorkers(workers), func(i int) {
-		if err := ctx.Err(); err != nil {
+	RunPool(ctx, len(reqs), clampWorkers(workers), func(i int, err error) {
+		if err != nil {
 			out[i].Err = err
 			return
 		}

@@ -244,8 +244,8 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				t.Fatalf("trial %d: single apply: %v", trial, err)
 			}
 			for _, se := range shardeds {
-				if _, err := se.Live().ApplyBatch(context.Background(), ds); err != nil {
-					t.Fatalf("trial %d: shards=%d apply: %v", trial, se.NumShards(), err)
+				if _, err := se.live.ApplyBatch(context.Background(), ds); err != nil {
+					t.Fatalf("trial %d: shards=%d apply: %v", trial, len(se.engines), err)
 				}
 			}
 			step(round)

@@ -6,25 +6,17 @@ import (
 	"repro/internal/replic"
 )
 
-// Topology names reported by Stats — which serving shape answered.
-const (
-	TopologyStatic  = "static"  // a plain Engine over a built or pinned index
-	TopologyLive    = "live"    // an Engine over a LiveIndex (epoch-swap serving)
-	TopologySharded = "sharded" // a ShardedEngine scatter-gathering over shards
-	TopologyMulti   = "multi"   // a MultiEngine federating applications
-)
+// TopologySharded is the topology Stats reports: every served index is a
+// ShardedEngine scatter-gathering over S >= 1 shards.
+const TopologySharded = "sharded"
 
-// Stats is the one serving-stats report every topology answers — the
-// Searcher contract's Stats() shape. Fields that only one topology can
-// fill stay at their zero value elsewhere: a static engine has no
-// maintenance history, a multi engine no tombstones of its own. Counters
-// are sums across shards (Keywords counts posting lists, so a keyword
-// spanning k shards contributes k); MaxEpoch is the highest per-shard
-// epoch, since shards advance independently.
+// Stats is the serving-stats report — the Searcher contract's Stats()
+// shape. Counters are sums across shards (Keywords counts posting lists,
+// so a keyword spanning k shards contributes k); MaxEpoch is the highest
+// per-shard epoch, since shards advance independently.
 type Stats struct {
 	Topology       string  `json:"topology"`
 	Shards         int     `json:"shards"`
-	Engines        int     `json:"engines,omitempty"` // multi: federated applications
 	Fragments      int     `json:"fragments"`
 	Keywords       int     `json:"keywords"`
 	TombstonedRefs int     `json:"tombstoned_refs"`
@@ -32,14 +24,15 @@ type Stats struct {
 	MaxEpoch       uint64  `json:"max_epoch"`
 	DeltasApplied  uint64  `json:"deltas_applied"`
 	Publishes      uint64  `json:"publishes"`
-	Queued         int     `json:"queued_deltas"`
-	Inserted       uint64  `json:"fragments_inserted"`
-	Removed        uint64  `json:"fragments_removed"`
-	Updated        uint64  `json:"fragments_updated"`
-	Compactions    uint64  `json:"compactions"`
-	// PerShard carries each shard's own serving stats (epoch, pending
-	// queue, publish counters) in shard order; nil for unsharded
-	// topologies.
+	// Queued counts deltas buffered by the serving handle's Queue and
+	// awaiting its Flush; the engine itself holds no queue.
+	Queued      int    `json:"queued_deltas"`
+	Inserted    uint64 `json:"fragments_inserted"`
+	Removed     uint64 `json:"fragments_removed"`
+	Updated     uint64 `json:"fragments_updated"`
+	Compactions uint64 `json:"compactions"`
+	// PerShard carries each shard's own serving stats (epoch, publish
+	// counters) in shard order.
 	PerShard []fragindex.LiveStats `json:"per_shard,omitempty"`
 	// Cache and Admission report the serving-layer result cache and
 	// admission controller when the handle was opened with them
@@ -59,46 +52,7 @@ type Stats struct {
 	Replicas *replic.RouterStats `json:"replicas,omitempty"`
 }
 
-// statsFromLive maps a LiveIndex report onto the unified shape.
-func statsFromLive(topology string, ls fragindex.LiveStats) Stats {
-	return Stats{
-		Topology:       topology,
-		Shards:         1,
-		Fragments:      ls.Fragments,
-		Keywords:       ls.Keywords,
-		TombstonedRefs: ls.TombstonedRefs,
-		AvgTerms:       ls.AvgTerms,
-		MaxEpoch:       ls.Epoch,
-		DeltasApplied:  ls.DeltasApplied,
-		Publishes:      ls.Publishes,
-		Queued:         ls.Queued,
-		Inserted:       ls.Inserted,
-		Removed:        ls.Removed,
-		Updated:        ls.Updated,
-		Compactions:    ls.Compactions,
-	}
-}
-
-// Stats summarizes the engine's serving index in the unified shape. For a
-// LiveIndex source that is the full maintenance history; for a built or
-// pinned index it describes the snapshot the next Search would pin.
-func (e *Engine) Stats() Stats {
-	if live, ok := e.src.(*fragindex.LiveIndex); ok {
-		return statsFromLive(TopologyLive, live.Stats())
-	}
-	snap := e.src.Snapshot()
-	return Stats{
-		Topology:       TopologyStatic,
-		Shards:         1,
-		Fragments:      snap.NumFragments(),
-		Keywords:       snap.NumKeywords(),
-		TombstonedRefs: snap.NumRefs() - snap.NumFragments(),
-		AvgTerms:       snap.AvgTermsPerFragment(),
-		MaxEpoch:       snap.Epoch(),
-	}
-}
-
-// Stats aggregates the per-shard serving statistics in the unified shape.
+// Stats aggregates the per-shard serving statistics.
 func (se *ShardedEngine) Stats() Stats {
 	ss := se.live.Stats()
 	return Stats{
@@ -111,41 +65,10 @@ func (se *ShardedEngine) Stats() Stats {
 		MaxEpoch:       ss.MaxEpoch,
 		DeltasApplied:  ss.DeltasApplied,
 		Publishes:      ss.Publishes,
-		Queued:         ss.Queued,
 		Inserted:       ss.Inserted,
 		Removed:        ss.Removed,
 		Updated:        ss.Updated,
 		Compactions:    ss.Compactions,
 		PerShard:       ss.PerShard,
 	}
-}
-
-// Stats sums the federated engines' reports: fragment and keyword counts
-// add up (applications index disjoint fragment spaces), MaxEpoch is the
-// highest across engines, and AvgTerms is the fragment-weighted mean.
-func (m *MultiEngine) Stats() Stats {
-	out := Stats{Topology: TopologyMulti, Engines: len(m.engines)}
-	var terms float64
-	for _, e := range m.engines {
-		st := e.Stats()
-		out.Shards += st.Shards
-		out.Fragments += st.Fragments
-		out.Keywords += st.Keywords
-		out.TombstonedRefs += st.TombstonedRefs
-		terms += st.AvgTerms * float64(st.Fragments)
-		if st.MaxEpoch > out.MaxEpoch {
-			out.MaxEpoch = st.MaxEpoch
-		}
-		out.DeltasApplied += st.DeltasApplied
-		out.Publishes += st.Publishes
-		out.Queued += st.Queued
-		out.Inserted += st.Inserted
-		out.Removed += st.Removed
-		out.Updated += st.Updated
-		out.Compactions += st.Compactions
-	}
-	if out.Fragments > 0 {
-		out.AvgTerms = terms / float64(out.Fragments)
-	}
-	return out
 }

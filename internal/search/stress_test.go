@@ -72,44 +72,6 @@ func TestConcurrentSearchStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentMultiEngineStress drives the federated engine's concurrent
-// fan-out from 32 goroutines and checks the deterministic merge: every
-// call returns exactly the same result list.
-func TestConcurrentMultiEngineStress(t *testing.T) {
-	m := NewMulti(fooddbEngine(t), fooddbEngine(t))
-	req := Request{Keywords: []string{"burger"}, K: 10, SizeThreshold: 1}
-	want, err := m.Search(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const goroutines = 32
-	var wg sync.WaitGroup
-	errc := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < 25; it++ {
-				rs, err := m.Search(context.Background(), req)
-				if err != nil {
-					errc <- fmt.Errorf("goroutine %d: %v", g, err)
-					return
-				}
-				if !reflect.DeepEqual(rs, want) {
-					errc <- fmt.Errorf("goroutine %d: nondeterministic merge", g)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-}
-
 // TestParallelSearchMatchesSerial: the batch API returns positionally what
 // serial Search returns, at every worker count.
 func TestParallelSearchMatchesSerial(t *testing.T) {
