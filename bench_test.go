@@ -358,9 +358,9 @@ func BenchmarkLiveMutationUnderLoad(b *testing.B) {
 				if _, err := live.Apply(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
-				// Periodic snapshot GC, as a production apply loop runs it:
-				// updates tombstone one ref each, and unbounded tombstones
-				// would turn the metadata copy quadratic.
+				// Periodic snapshot GC, as a production apply loop runs it.
+				// Updates apply in place and leave no tombstone, so on this
+				// update-only stream it finds nothing to reclaim.
 				if i%512 == 511 {
 					if _, err := live.CompactIfNeeded(context.Background(), 0.5); err != nil {
 						b.Fatal(err)
@@ -426,8 +426,9 @@ func syntheticCounts(i, bump int) map[string]int64 {
 // each index size, "single" applies one single-fragment update per publish
 // while "batch=100" folds 100 single-fragment deltas into one publish
 // (LiveIndex.ApplyBatch), so ns/change shows the amortization. With
-// chunked metadata the clonedChunks/op metric stays flat (the update's own
-// chunk plus the append tail) instead of growing with refs/chunkSize, and
+// chunked metadata the clonedChunks/op metric stays flat (the updated
+// fragment's own chunk — updates apply in place, so no append tail is
+// dirtied) instead of growing with refs/chunkSize, and
 // per-publish time is dominated by the touched posting lists — sublinear
 // in index size, where the pre-chunk design paid an O(refs) metadata
 // memcpy per publish.
@@ -460,8 +461,9 @@ func BenchmarkApplyPublishCost(b *testing.B) {
 					chunks += st.ClonedChunks
 					changes += batch
 					// Periodic snapshot GC, as a production apply loop runs
-					// it: every update tombstones one ref, and unbounded
-					// tombstones would grow the ref space without limit.
+					// it. Updates apply in place and leave no tombstone, so
+					// on this update-only stream the GC finds nothing to
+					// reclaim; it stays in the loop to price the check.
 					if i%512 == 511 {
 						if _, err := live.CompactIfNeeded(context.Background(), 0.5); err != nil {
 							b.Fatal(err)
@@ -889,6 +891,51 @@ func BenchmarkDurableApplyThroughput(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "applies/sec")
+		})
+	}
+}
+
+// BenchmarkTailFrom prices one replication poll against the open journal
+// as the journal grows: a caught-up replica's cursor sits one record
+// behind the durable epoch, so each poll ships one record. The tail is
+// cut by record offset (the journal indexes every acknowledged record),
+// so ns/op should stay flat from 10 to 10,000 records instead of growing
+// with the bytes before the cursor.
+func BenchmarkTailFrom(b *testing.B) {
+	ctx := context.Background()
+	for _, n := range []int{10, 1_000, 10_000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			live, ids := syntheticLive(b, 64)
+			st, err := durable.Open(ctx, b.TempDir(), durable.SyncPolicy{Mode: durable.SyncInterval, Interval: time.Second})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			seed := live.Dump()
+			if err := st.Init(ctx, []*fragindex.Dump{seed}); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				at := i % len(ids)
+				d := crawl.Delta{Changes: []crawl.FragmentChange{{
+					Op: crawl.OpUpdateFragment, ID: ids[at],
+					TermCounts: syntheticCounts(at, i+1), TotalTerms: 3,
+				}}}
+				if err := st.Append(ctx, 0, d, seed.Epoch+uint64(i)+1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cursor := seed.Epoch + uint64(n) - 1
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				chunk, err := st.TailFrom(ctx, 0, cursor, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if chunk.Records != 1 {
+					b.Fatalf("poll shipped %d records, want 1", chunk.Records)
+				}
+			}
 		})
 	}
 }

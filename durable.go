@@ -146,8 +146,12 @@ func openDurable(ctx context.Context, idx *Index, cfg openConfig) (_ *fragindex.
 }
 
 // Checkpoint writes each shard's current state as a new snapshot
-// generation and rotates its journal. Concurrent applies keep their
-// write-ahead guarantee throughout.
+// generation and rotates its journal. Each shard is dumped and
+// checkpointed under its writer lock, so an apply cannot journal a record
+// between the dump and the journal rotation (it would be stranded in the
+// rotated-out journal). A shard with nothing journaled since its last
+// checkpoint is skipped before its dump is built. Concurrent applies keep
+// their write-ahead guarantee throughout.
 func (h *handle) Checkpoint(ctx context.Context) error {
 	if h.store == nil {
 		return ErrNotDurable
@@ -156,7 +160,13 @@ func (h *handle) Checkpoint(ctx context.Context) error {
 		if err := orBackground(ctx).Err(); err != nil {
 			return err
 		}
-		if err := h.store.Checkpoint(ctx, i, h.live.Shard(i).Dump()); err != nil {
+		err := h.live.Shard(i).Checkpoint(func(epoch uint64, dump func() *fragindex.Dump) error {
+			if !h.store.NeedsCheckpoint(i, epoch) {
+				return nil
+			}
+			return h.store.Checkpoint(ctx, i, dump())
+		})
+		if err != nil {
 			return err
 		}
 	}

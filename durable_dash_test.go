@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/crawl"
+	"repro/internal/durable"
 	"repro/internal/fragindex"
 	"repro/internal/relation"
 )
@@ -272,6 +273,97 @@ func TestDurableCompactCheckpoints(t *testing.T) {
 	// An explicit Checkpoint is available too.
 	if err := h2.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointRacingApplyKeepsRecord covers the handle's checkpoint
+// against concurrent applies. First the race itself, replayed step by
+// step through the handle's own layers: a shard dumped at E, an apply
+// journaling past E, then the store checkpoint with the E dump — what
+// Checkpoint did when an apply slipped between its dump and the store
+// call. The store refuses the stale dump and the applied record stays
+// reachable from cursor E. Then Checkpoint runs against a stream of
+// concurrent applies, and walking the tail from the oldest retained
+// journal must reach the durable epoch with every poll shipping records
+// (no record-free advance, which is what a stranded record looks like).
+func TestCheckpointRacingApplyKeepsRecord(t *testing.T) {
+	ctx := context.Background()
+	_, app, build := fooddbIndex(t)
+	h, err := Open(ctx, build(), app, WithShards(1), WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	hh := h.(*handle)
+	update := func(tf int64) Delta {
+		return Delta{Changes: []FragmentChange{{
+			Op: OpUpdateFragment, ID: FragmentID{relation.String("American"), relation.Int(10)},
+			TermCounts: map[string]int64{"burger": tf, "pickle": 1}, TotalTerms: tf + 1,
+		}}}
+	}
+
+	stale := hh.live.Shard(0).Dump()
+	if _, err := h.Apply(ctx, update(4)); err != nil {
+		t.Fatal(err)
+	}
+	durableEpoch, err := hh.store.DurableEpoch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serr := hh.store.Checkpoint(ctx, 0, stale)
+	chunk, err := hh.store.TailFrom(ctx, 0, stale.Epoch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunk.Records != 1 || chunk.Next != durableEpoch {
+		t.Fatalf("tail from the dump epoch %d: %d records to %d, want the record at %d",
+			stale.Epoch, chunk.Records, chunk.Next, durableEpoch)
+	}
+	if !errors.Is(serr, durable.ErrStaleCheckpoint) {
+		t.Fatalf("stale store checkpoint error = %v, want ErrStaleCheckpoint", serr)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if _, err := h.Apply(ctx, update(int64(5+i%7))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		if err := h.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sd := hh.store.ShardDurability(0)
+	if sd.Error != "" || len(sd.Journals) == 0 {
+		t.Fatalf("shard inventory %+v", sd)
+	}
+	cursor := sd.Journals[0].Epoch
+	for cursor < sd.DurableEpoch {
+		chunk, err := hh.store.TailFrom(ctx, 0, cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunk.Records == 0 {
+			t.Fatalf("tail from %d shipped no records below durable epoch %d: a stranded record", cursor, chunk.DurableEpoch)
+		}
+		cursor = chunk.Next
+	}
+	if cursor != sd.DurableEpoch {
+		t.Fatalf("tail walk ended at %d, durable epoch %d", cursor, sd.DurableEpoch)
 	}
 }
 

@@ -322,6 +322,18 @@ func (s *Store) recoverFromDegraded(ctx context.Context) error {
 }
 
 func (s *Store) recoverShardDegraded(ctx context.Context, i int, fn BaselineFunc) error {
+	// The baseline is dumped before the shard lock is taken: the dash
+	// provider dumps under the index's writer lock, and writers hold that
+	// lock while they lock the shard (append, checkpoint), so the other
+	// order could deadlock. While degraded no append is admitted, so the
+	// dump stays the shard's last acknowledged state.
+	var d *fragindex.Dump
+	if fn != nil {
+		var err error
+		if d, err = fn(ctx, i); err != nil {
+			return err
+		}
+	}
 	ss := s.shards[i]
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -333,10 +345,6 @@ func (s *Store) recoverShardDegraded(ctx context.Context, i int, fn BaselineFunc
 			return fmt.Errorf("no baseline provider to re-checkpoint past a %w", errPoisoned)
 		}
 		return ss.j.sync()
-	}
-	d, err := fn(ctx, i)
-	if err != nil {
-		return err
 	}
 	if err := ss.j.seal(s.fs); err != nil {
 		return err

@@ -47,15 +47,25 @@ type journal struct {
 	f         faultfs.File
 	path      string
 	baseEpoch uint64
-	size      int64  // bytes of acknowledged records (header + records)
-	records   uint64 // records in file
-	dirty     bool   // unsynced appends (interval policy)
+	size      int64 // bytes of acknowledged records (header + records)
+	// index holds one (epoch, offset) entry per acknowledged record, in
+	// file order, so the tail server seeks straight to a cursor's suffix
+	// instead of re-reading and re-decoding the whole journal.
+	index []recordPos
+	dirty bool // unsynced appends (interval policy)
 	// poisoned marks a journal whose failed append could not be truncated
 	// back to the acknowledged extent: bytes of unknown validity sit past
 	// size, so further appends would interleave with garbage. A poisoned
 	// journal only leaves service through degraded-mode recovery, which
 	// seals (re-truncates) it and rotates to a fresh journal.
 	poisoned bool
+}
+
+// recordPos locates one acknowledged record: its epoch and the file offset
+// of its frame (length header first).
+type recordPos struct {
+	epoch uint64
+	off   int64
 }
 
 // createJournal writes a fresh journal file (truncating any uncommitted
@@ -85,19 +95,23 @@ func createJournal(fsys faultfs.FS, path string, baseEpoch uint64) (*journal, er
 }
 
 // openJournal opens an existing, already-verified journal for appends at
-// the given size (replay reports the valid extent; anything past it has
-// been truncated away).
-func openJournal(fsys faultfs.FS, path string, baseEpoch uint64, size int64, records uint64) (*journal, error) {
+// the scan's valid extent (anything past it has been truncated away),
+// rebuilding the record index from the recovery scan.
+func openJournal(fsys faultfs.FS, path string, scan *walScan) (*journal, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
+	if _, err := f.Seek(scan.validSize, io.SeekStart); err != nil {
 		//lint:ignore droppederr already failing: the seek error is returned; close is best-effort fd cleanup
 		f.Close()
 		return nil, err
 	}
-	return &journal{f: f, path: path, baseEpoch: baseEpoch, size: size, records: records}, nil
+	index := make([]recordPos, len(scan.records))
+	for i, rec := range scan.records {
+		index[i] = recordPos{epoch: rec.epoch, off: rec.off}
+	}
+	return &journal{f: f, path: path, baseEpoch: scan.baseEpoch, size: scan.validSize, index: index}, nil
 }
 
 // errPoisoned marks append failures on a journal whose tail could not be
@@ -141,8 +155,8 @@ func (j *journal) append(del crawl.Delta, epoch uint64, syncNow bool) error {
 	} else {
 		j.dirty = true
 	}
+	j.index = append(j.index, recordPos{epoch: epoch, off: j.size})
 	j.size += int64(len(rec))
-	j.records++
 	return nil
 }
 
@@ -198,10 +212,12 @@ func (j *journal) close() error {
 	return j.f.Close()
 }
 
-// walRecord is one decoded journal record.
+// walRecord is one decoded journal record and the file offset of its
+// frame.
 type walRecord struct {
 	epoch uint64
 	delta crawl.Delta
+	off   int64
 }
 
 // walScan is the result of reading one journal file.
@@ -249,7 +265,7 @@ func parseJournal(b []byte, name string, allowTorn bool) (*walScan, error) {
 		return nil, corrupt("bad header")
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != walVersion {
-		return nil, fmt.Errorf("durable: journal %s: unsupported format version %d", name, v)
+		return nil, fmt.Errorf("%w %d: journal %s", ErrUnsupportedVersion, v, name)
 	}
 	scan := &walScan{
 		baseEpoch: binary.LittleEndian.Uint64(b[12:20]),
@@ -295,7 +311,7 @@ func parseJournal(b []byte, name string, allowTorn bool) (*walScan, error) {
 			(n > 0 && epoch <= scan.records[n-1].epoch) {
 			return nil, corrupt("non-monotonic epoch %d at %d", epoch, off)
 		}
-		scan.records = append(scan.records, walRecord{epoch: epoch, delta: del})
+		scan.records = append(scan.records, walRecord{epoch: epoch, delta: del, off: off})
 		off += recHeaderSize + length
 		scan.validSize = off
 	}

@@ -38,17 +38,20 @@ const (
 	kwsPerChunk   = 1024
 	maxSections   = 1 << 20
 
-	snapFixedHeader  = 8 + 4 + 4 // magic + version + section count
-	snapTableEntry   = 8 + 8 + 4 // offset + length + crc
-	snapHeaderTrailer = 4        // header CRC
+	snapFixedHeader   = 8 + 4 + 4 // magic + version + section count
+	snapTableEntry    = 8 + 8 + 4 // offset + length + crc
+	snapHeaderTrailer = 4         // header CRC
 )
 
 // Errors the durable layer classifies corruption with. Both wrap into
 // recovery decisions: a corrupt snapshot falls back to the previous
 // generation, a corrupt journal (beyond a torn tail) refuses recovery.
+// ErrUnsupportedVersion marks an intact file written in a format version
+// this build does not read — distinct from corruption.
 var (
-	ErrCorruptSnapshot = errors.New("durable: corrupt snapshot")
-	ErrCorruptJournal  = errors.New("durable: corrupt journal")
+	ErrCorruptSnapshot    = errors.New("durable: corrupt snapshot")
+	ErrCorruptJournal     = errors.New("durable: corrupt journal")
+	ErrUnsupportedVersion = errors.New("durable: unsupported format version")
 )
 
 type sectionEntry struct {
@@ -227,7 +230,7 @@ func DecodeSnapshot(b []byte, name string) (*fragindex.Dump, error) {
 		return nil, corrupt("bad magic")
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != snapVersion {
-		return nil, fmt.Errorf("durable: snapshot %s: unsupported format version %d", name, v)
+		return nil, fmt.Errorf("%w %d: snapshot %s", ErrUnsupportedVersion, v, name)
 	}
 	count := int(binary.LittleEndian.Uint32(b[12:16]))
 	if count < 1 || count > maxSections {

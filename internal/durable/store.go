@@ -124,6 +124,11 @@ type manifest struct {
 // ErrNotInitialized marks a data directory with no committed MANIFEST.
 var ErrNotInitialized = errors.New("durable: data dir not initialized")
 
+// ErrStaleCheckpoint refuses a checkpoint dump taken before the shard's
+// durable epoch: a record acknowledged after the dump would be left in
+// the rotated-out journal, unreachable from the new generation's cursor.
+var ErrStaleCheckpoint = errors.New("durable: checkpoint dump is behind the durable epoch")
+
 // RecoveryInfo reports what recovering one shard took.
 type RecoveryInfo struct {
 	Shard int `json:"shard"`
@@ -632,7 +637,7 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 					return nil, info, terr
 				}
 			}
-			j, jerr := openJournal(s.fs, w.path, scan.baseEpoch, scan.validSize, uint64(len(scan.records)))
+			j, jerr := openJournal(s.fs, w.path, scan)
 			if jerr != nil {
 				return nil, info, jerr
 			}
@@ -724,7 +729,10 @@ func (s *Store) Append(ctx context.Context, shard int, del crawl.Delta, epoch ui
 // Checkpoint writes a shard's current state as a new snapshot generation,
 // rotates its journal, and prunes generations beyond the retained two.
 // A checkpoint at the journal's own base epoch (nothing published since
-// the last one) is a no-op.
+// the last one) is a no-op. A dump behind the shard's durable epoch is
+// refused with ErrStaleCheckpoint: the dump must be cut with appends held
+// off (the dash handle dumps and checkpoints under the shard's writer
+// lock), or records acknowledged after it would be stranded.
 //
 // Appends for the shard block for the duration; the write-ahead contract
 // is never relaxed mid-checkpoint. Crash-safe at every step: the snapshot
@@ -746,9 +754,29 @@ func (s *Store) Checkpoint(ctx context.Context, shard int, d *fragindex.Dump) er
 	if ss.j == nil {
 		return fmt.Errorf("%w: shard %d has no open journal", ErrClosed, shard)
 	}
+	if d.Epoch < ss.lastEpoch {
+		return fmt.Errorf("%w: shard %d dump at epoch %d, durable epoch %d",
+			ErrStaleCheckpoint, shard, d.Epoch, ss.lastEpoch)
+	}
 	return s.withRetry(ctx, func() error {
 		return s.checkpointLocked(ctx, ss, d, false)
 	})
+}
+
+// NeedsCheckpoint reports whether Checkpoint of the shard at epoch has
+// anything to do. It is false only when Checkpoint would succeed as a
+// no-op: nothing was journaled since the last checkpoint, epoch has not
+// moved past it, and the store is neither closed nor degraded (those
+// report their error from Checkpoint). Callers consult it before building
+// an O(index) dump.
+func (s *Store) NeedsCheckpoint(shard int, epoch uint64) bool {
+	if s.closed.Load() || s.DegradedErr() != nil {
+		return true
+	}
+	ss := s.shards[shard]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.j == nil || epoch > ss.j.baseEpoch || len(ss.j.index) > 0
 }
 
 // checkpointLocked is the checkpoint body, shard lock held. Forced mode
@@ -756,7 +784,7 @@ func (s *Store) Checkpoint(ctx context.Context, shard int, d *fragindex.Dump) er
 // even at an unchanged epoch, and tolerates close failures on the
 // outgoing journal — the snapshot just written supersedes its records.
 func (s *Store) checkpointLocked(ctx context.Context, ss *shardStore, d *fragindex.Dump, force bool) error {
-	if !force && d.Epoch <= ss.j.baseEpoch && ss.j.records == 0 {
+	if !force && d.Epoch <= ss.j.baseEpoch && len(ss.j.index) == 0 {
 		return nil
 	}
 	if err := writeSnapshot(ctx, s.fs, filepath.Join(ss.dir, snapName(d.Epoch)), d); err != nil {
@@ -933,7 +961,7 @@ func (s *Store) Stats() Stats {
 		ss.mu.Lock()
 		if ss.j != nil {
 			st.JournalBytes += ss.j.size
-			st.JournalRecords += ss.j.records
+			st.JournalRecords += uint64(len(ss.j.index))
 		}
 		ss.mu.Unlock()
 		st.PerShard = append(st.PerShard, s.ShardDurability(i))

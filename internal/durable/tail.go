@@ -8,9 +8,11 @@ package durable
 //   - The durable epoch of a shard is the epoch of its last acknowledged
 //     journal record (or the journal base right after a checkpoint). It
 //     advances under the shard lock and wakes long-poll tail waiters.
-//   - TailFrom reads journal records strictly after a cursor epoch and
-//     re-frames them with the journal record codec. The open journal is
-//     read capped at its acknowledged extent, so bytes from a failed
+//   - TailFrom reads journal records strictly after a cursor epoch. A
+//     cursor inside the open journal is served by record offset: the
+//     journal indexes each acknowledged record, and only the suffix past
+//     the cursor is read and shipped verbatim. The open journal is read
+//     capped at its acknowledged extent, so bytes from a failed
 //     (unacknowledged, possibly poisoned) append are never replicated.
 //   - A cursor older than the oldest retained journal's base epoch is
 //     unservable — pruning ate the history — and returns ErrTailTruncated
@@ -22,7 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/internal/crawl"
@@ -225,14 +229,21 @@ func (s *Store) OpenSnapshot(shard int, epoch uint64) (faultfs.File, int64, erro
 }
 
 // TailFrom cuts one tail chunk: every acknowledged journal record with
-// epoch strictly greater than from, oldest first, re-framed with the
-// record codec, up to roughly maxBytes (at least one record always fits).
-// A cursor older than the retained chain returns ErrTailTruncated.
+// epoch strictly greater than from, oldest first, in the record codec, up
+// to roughly maxBytes (at least one record always fits). A cursor older
+// than the retained chain returns ErrTailTruncated.
 //
-// The open journal is read capped at its acknowledged extent as sampled
-// under the shard lock, so a poisoned journal's garbage suffix and any
-// record whose fsync never completed are invisible to replicas — a replica
-// can never get ahead of what the leader acknowledged durable.
+// A cursor inside the open journal — the steady state of a caught-up
+// replica — is served by record offset: the journal's (epoch, offset)
+// index locates the suffix, and only those bytes are read, CRC-checked
+// and shipped verbatim (journal records and tail frames share one codec).
+// Older cursors read the retained journal chain and re-frame each
+// decoded record (tailChain).
+//
+// Either way the open journal is read capped at its acknowledged extent
+// as sampled under the shard lock, so a poisoned journal's garbage suffix
+// and any record whose fsync never completed are invisible to replicas —
+// a replica can never get ahead of what the leader acknowledged durable.
 func (s *Store) TailFrom(ctx context.Context, shard int, from uint64, maxBytes int) (*TailChunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -244,10 +255,95 @@ func (s *Store) TailFrom(ctx context.Context, shard int, from uint64, maxBytes i
 		maxBytes = defaultTailBytes
 	}
 	ss := s.shards[shard]
+	ss.mu.Lock()
+	j := ss.j
+	if j == nil || from < j.baseEpoch {
+		ss.mu.Unlock()
+		return s.tailChain(shard, from, maxBytes)
+	}
+	// Sample the cut under the lock: the records past the cursor that fit
+	// the budget, and the byte range they span. Records appended after
+	// the sample ride the next poll.
+	chunk := &TailChunk{Next: from, DurableEpoch: ss.lastEpoch}
+	first := sort.Search(len(j.index), func(i int) bool { return j.index[i].epoch > from })
+	last := first
+	for last < len(j.index) && (last == first || j.index[last].off-j.index[first].off < int64(maxBytes)) {
+		last++
+	}
+	recs := j.index[first:last:last] // entries are immutable once appended
+	var end int64
+	if last < len(j.index) {
+		end = j.index[last].off
+	} else {
+		end = j.size
+	}
+	path := j.path
+	ss.mu.Unlock()
+	if len(recs) == 0 {
+		return chunk, nil
+	}
+	frames, err := s.readFrames(path, recs, end)
+	if err != nil {
+		return nil, err
+	}
+	chunk.Frames = frames
+	chunk.Records = len(recs)
+	chunk.Next = recs[len(recs)-1].epoch
+	return chunk, nil
+}
+
+// readFrames reads the journal bytes from recs[0].off to end through the
+// filesystem seam and verifies that they hold exactly the indexed
+// records: each frame's length, CRC and epoch. Deltas are not decoded —
+// the bytes ship as they are.
+func (s *Store) readFrames(path string, recs []recordPos, end int64) ([]byte, error) {
+	start := recs[0].off
+	f, err := s.fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, end-start)
+	_, err = f.Seek(start, io.SeekStart)
+	if err == nil {
+		_, err = io.ReadFull(f, b)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	name := filepath.Base(path)
+	for i, rec := range recs {
+		off := rec.off - start
+		next := int64(len(b))
+		if i+1 < len(recs) {
+			next = recs[i+1].off - start
+		}
+		if next-off < recHeaderSize+8 || int64(binary.LittleEndian.Uint32(b[off:]))+recHeaderSize != next-off {
+			return nil, fmt.Errorf("%w: %s: record at %d does not match its index entry", ErrCorruptJournal, name, rec.off)
+		}
+		payload := b[off+recHeaderSize : next]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[off+4:]) {
+			return nil, fmt.Errorf("%w: %s: checksum mismatch at %d", ErrCorruptJournal, name, rec.off)
+		}
+		if binary.LittleEndian.Uint64(payload) != rec.epoch {
+			return nil, fmt.Errorf("%w: %s: record at %d carries the wrong epoch", ErrCorruptJournal, name, rec.off)
+		}
+	}
+	return b, nil
+}
+
+// tailChain cuts a tail chunk by reading the retained journal chain: the
+// path for cursors older than the open journal's base. Each qualifying
+// record is decoded and re-framed with the record codec, which encodes
+// deterministically, so the frames are byte-identical to the journaled
+// ones.
+func (s *Store) tailChain(shard int, from uint64, maxBytes int) (*TailChunk, error) {
+	ss := s.shards[shard]
 
 	// Sample a consistent view under the shard lock: the segment listing,
-	// the open journal's identity, and its acknowledged extent. Records
-	// appended after the sample ride the next poll.
+	// the open journal's identity, and its acknowledged extent.
 	ss.mu.Lock()
 	durable := ss.lastEpoch
 	var openPath string

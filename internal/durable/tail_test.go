@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/crawl"
+	"repro/internal/faultfs"
 	"repro/internal/fragindex"
 )
 
@@ -434,5 +435,215 @@ func TestParseTailFramesRejectsDamage(t *testing.T) {
 	rev = AppendTailFrame(rev, 10, insDelta(fid("a", 1), map[string]int64{"x": 2}, 2))
 	if _, err := ParseTailFrames(rev); !errors.Is(err, ErrCorruptJournal) {
 		t.Fatalf("epoch regression parsed: %v", err)
+	}
+}
+
+// TestCheckpointBehindDurableEpochKeepsRecord replays the interleaving of
+// a checkpoint racing an apply: the shard is dumped at E, an apply
+// journals E+1, and only then does the checkpoint reach the store with
+// the E dump. Accepting it would rotate the journal at E and strand the
+// E+1 record in the rotated-out file, where a cursor at E no longer looks
+// (TailFrom would report DurableEpoch E+1 with no records, which a
+// replica reads as a record-free advance). The stale dump is refused, and
+// the record stays reachable from E before and after a current
+// checkpoint.
+func TestCheckpointBehindDurableEpochKeepsRecord(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	idx := smallIndex(t, 4)
+	track := cloneIndex(t, idx)
+	st, _ := openStore(t, dir, SyncPolicy{})
+	defer st.Close()
+	if err := st.Init(ctx, []*fragindex.Dump{idx.Dump()}); err != nil {
+		t.Fatal(err)
+	}
+	d := insDelta(fid("race", 1), map[string]int64{"race": 1}, 1)
+	e := applyTracked(t, track, d)
+	if err := st.Append(ctx, 0, d, e); err != nil {
+		t.Fatal(err)
+	}
+	stale := track.Dump() // cut at E
+	d = updDelta(fid("race", 1), map[string]int64{"race": 2}, 2)
+	next := applyTracked(t, track, d)
+	if err := st.Append(ctx, 0, d, next); err != nil {
+		t.Fatal(err)
+	}
+
+	reachable := func(when string) {
+		t.Helper()
+		chunk, err := st.TailFrom(ctx, 0, e, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if chunk.Records != 1 || chunk.Next != next || chunk.DurableEpoch != next {
+			t.Fatalf("%s: tail from %d = %d records to %d (durable %d), want the record at %d",
+				when, e, chunk.Records, chunk.Next, chunk.DurableEpoch, next)
+		}
+	}
+	err := st.Checkpoint(ctx, 0, stale)
+	reachable("after the stale checkpoint")
+	if !errors.Is(err, ErrStaleCheckpoint) {
+		t.Fatalf("stale checkpoint error = %v, want ErrStaleCheckpoint", err)
+	}
+	if err := st.Checkpoint(ctx, 0, track.Dump()); err != nil {
+		t.Fatal(err)
+	}
+	reachable("after a current checkpoint")
+	if st.NeedsCheckpoint(0, next) {
+		t.Error("NeedsCheckpoint true right after a checkpoint at the same epoch")
+	}
+}
+
+// tailMixedDelta is the i-th record of the equivalence history: inserts,
+// multi-keyword updates and multi-change deltas, so frames vary in size.
+func tailMixedDelta(i int) crawl.Delta {
+	counts := map[string]int64{"z": int64(i%4 + 1), fmt.Sprintf("k%d", i): 2}
+	if i%3 == 0 {
+		counts["a"], counts["m"] = 1, int64(i)
+	}
+	d := insDelta(fid("eq", int64(i)), counts, int64(len(counts)+i))
+	if i%4 == 1 {
+		d.Changes = append(d.Changes, insDelta(fid("eq2", int64(i)), map[string]int64{"y": 1}, 1).Changes...)
+	}
+	return d
+}
+
+// TestTailFromMatchesReencode: the record-offset tail (the open journal's
+// cursors) ships exactly the bytes the decode/re-encode path produces, for
+// every cursor and byte budget — across a journal rotation and with
+// unacknowledged garbage past the open journal's extent — and both paths
+// refuse a damaged served record with ErrCorruptJournal.
+func TestTailFromMatchesReencode(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	idx := smallIndex(t, 4)
+	track := cloneIndex(t, idx)
+	st, _ := openStore(t, dir, SyncPolicy{})
+	defer st.Close()
+	if err := st.Init(ctx, []*fragindex.Dump{idx.Dump()}); err != nil {
+		t.Fatal(err)
+	}
+	seed := idx.Dump().Epoch
+	for i := 0; i < 12; i++ {
+		d := tailMixedDelta(i)
+		if err := st.Append(ctx, 0, d, applyTracked(t, track, d)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			if err := st.Checkpoint(ctx, 0, track.Dump()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	durableEpoch, _ := st.DurableEpoch(0)
+
+	compare := func(when string) {
+		t.Helper()
+		for from := seed; from <= durableEpoch+1; from++ {
+			for _, maxBytes := range []int{0, 1, 40, 90, 400} {
+				budget := maxBytes
+				if budget == 0 {
+					budget = defaultTailBytes
+				}
+				got, gerr := st.TailFrom(ctx, 0, from, maxBytes)
+				want, werr := st.tailChain(0, from, budget)
+				if gerr != nil || werr != nil {
+					t.Fatalf("%s: from %d max %d: errors %v / %v", when, from, maxBytes, gerr, werr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: from %d max %d:\noffset  %+v\nreencode %+v", when, from, maxBytes, got, want)
+				}
+			}
+		}
+	}
+	compare("clean")
+
+	// Unacknowledged bytes past the extent: a torn append's half record.
+	sd := st.ShardDurability(0)
+	open := sd.Journals[len(sd.Journals)-1]
+	if !open.Open {
+		t.Fatalf("newest journal %+v is not the open one", open)
+	}
+	path := filepath.Join(dir, "shard-0000", walName(open.Epoch))
+	torn := AppendTailFrame(nil, durableEpoch+1, tailMixedDelta(99))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compare("torn extent")
+
+	// A damaged acknowledged record: every cursor that ships it fails.
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[walHeaderSize+recHeaderSize+9] ^= 0x20 // inside the open journal's first payload
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.TailFrom(ctx, 0, open.Epoch, 0); !errors.Is(err, ErrCorruptJournal) {
+		t.Fatalf("damaged record served: err = %v", err)
+	}
+	if _, err := st.tailChain(0, open.Epoch, defaultTailBytes); !errors.Is(err, ErrCorruptJournal) {
+		t.Fatalf("re-encode path served a damaged record: err = %v", err)
+	}
+}
+
+// TestTailFromReadFault: the record-offset tail reads through the
+// filesystem seam, so an injected read fault surfaces as an error rather
+// than a short or empty chunk.
+func TestTailFromReadFault(t *testing.T) {
+	ctx := context.Background()
+	st, inj, track := openFaultStore(t, t.TempDir())
+	defer st.Close()
+	seed := track.Dump().Epoch
+	for i := 0; i < 3; i++ {
+		d := tailMixedDelta(i)
+		if err := st.Append(ctx, 0, d, applyTracked(t, track, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.SetRules(faultfs.Rule{Op: faultfs.OpRead, Path: walSuffix, Count: 1})
+	if _, err := st.TailFrom(ctx, 0, seed, 0); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("tail under a read fault: err = %v, want an injected fault", err)
+	}
+	chunk, err := st.TailFrom(ctx, 0, seed, 0)
+	if err != nil || chunk.Records != 3 {
+		t.Fatalf("tail after the fault cleared = %+v, %v", chunk, err)
+	}
+}
+
+// TestNeedsCheckpoint: a shard with nothing journaled since its last
+// checkpoint, asked at that checkpoint's epoch, needs none — the dash
+// handle skips building its dump. An append, a later epoch (a compaction
+// bumps it without a record), or a closed store each answer true, so
+// Checkpoint runs and does the work or reports the error.
+func TestNeedsCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	st, seed := seedTailStore(t, t.TempDir())
+	if st.NeedsCheckpoint(0, seed) {
+		t.Error("NeedsCheckpoint true for a fresh store at its seed epoch")
+	}
+	if !st.NeedsCheckpoint(0, seed+1) {
+		t.Error("NeedsCheckpoint false for an epoch past the last checkpoint")
+	}
+	appendN(t, st, seed, 1, "n")
+	if !st.NeedsCheckpoint(0, seed+1) {
+		t.Error("NeedsCheckpoint false with a record journaled since the checkpoint")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !st.NeedsCheckpoint(0, seed) {
+		t.Error("NeedsCheckpoint false on a closed store (Checkpoint must report ErrClosed)")
+	}
+	if err := st.Checkpoint(ctx, 0, smallIndex(t, 4).Dump()); !errors.Is(err, ErrClosed) {
+		t.Errorf("checkpoint after close: %v", err)
 	}
 }

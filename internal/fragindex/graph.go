@@ -2,6 +2,7 @@ package fragindex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fragment"
@@ -73,21 +74,44 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 func (idx *Index) insertPosting(kw string, p Posting) {
 	s := idx.s
 	pl := idx.listForWrite(kw, true)
-	list := pl.ps
-	pos := sort.Search(len(list), func(i int) bool {
-		if list[i].TF != p.TF {
-			return list[i].TF < p.TF
-		}
-		return s.metaAt(list[i].Frag).ID.Compare(s.metaAt(p.Frag).ID) >= 0
-	})
-	list = append(list, Posting{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = p
-	pl.ps = list
+	pl.ps = idx.placePosting(pl.ps, p)
 	if pl.liveDF() == 1 { // the list just came (back) to life
 		s.liveKws++
 	}
 	pl.recompute()
+}
+
+// placePosting inserts p into list at its (TF desc, id asc) slot. A
+// tombstone sharing p's TF and identifier (a removed-then-reinserted
+// fragment) sorts after it.
+func (idx *Index) placePosting(list []Posting, p Posting) []Posting {
+	s := idx.s
+	id := s.metaAt(p.Frag).ID
+	pos := sort.Search(len(list), func(i int) bool {
+		if list[i].TF != p.TF {
+			return list[i].TF < p.TF
+		}
+		return s.metaAt(list[i].Frag).ID.Compare(id) >= 0
+	})
+	list = append(list, Posting{})
+	copy(list[pos+1:], list[pos:])
+	list[pos] = p
+	return list
+}
+
+// postingOf returns the position and TF of ref's posting in kw's list;
+// kw must be in ref's forward map. The scan matches by ref, not by (TF,
+// identifier): tombstones of a removed-then-reinserted fragment share its
+// identifier.
+func (s *Snapshot) postingOf(kw string, ref FragRef) (int, int64) {
+	if pl := s.list(kw); pl != nil {
+		for i, p := range pl.ps {
+			if p.Frag == ref {
+				return i, p.TF
+			}
+		}
+	}
+	return -1, 0
 }
 
 // RemoveFragment deletes a fragment: its group edge pair collapses back into
@@ -136,15 +160,88 @@ func (idx *Index) RemoveFragment(id fragment.ID) error {
 }
 
 // UpdateFragment replaces a fragment's contents after the underlying
-// database changed: remove then re-insert with fresh statistics. This is
-// the efficient partial-update mechanism the paper's future work calls for —
-// only the touched fragment's postings change, not the whole index.
+// database changed. This is the efficient partial-update mechanism the
+// paper's future work calls for: the fragment keeps its ref, and only
+// what changed is written — the old keyword set (the forward map) is
+// diffed against the new one, a keyword whose TF is unchanged is not
+// touched, a changed TF repositions the one posting in its list, a
+// dropped keyword's posting is removed outright (no tombstone) and a new
+// keyword's posting is inserted. The node weight moves in place along
+// the group path. The epoch advances by two: journals, replicas and
+// existing data dirs count an update as a removal plus an insertion, and
+// epochs must match them.
 func (idx *Index) UpdateFragment(id fragment.ID, termCounts map[string]int64, totalTerms int64) error {
-	if err := idx.RemoveFragment(id); err != nil {
-		return err
+	ref, ok := idx.s.Lookup(id)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoFragment, id)
 	}
-	_, err := idx.InsertFragment(id, termCounts, totalTerms)
-	return err
+	idx.beginWrite()
+	s := idx.s
+	ci := int(ref) & chunkMask
+	if old := s.metaAt(ref).Terms; old != totalTerms {
+		idx.chunkForWrite(ref).frags[ci].Terms = totalTerms
+		s.liveTerms += totalTerms - old
+		g := idx.groupForWrite(s.groupAt(ref))
+		g.weights[s.posAt(ref)] = totalTerms
+	}
+	oldKws := s.kwsAt(ref)
+	kept := 0
+	for _, kw := range oldKws {
+		newTF, stays := termCounts[kw]
+		pos, tf := s.postingOf(kw, ref)
+		switch {
+		case !stays:
+			idx.dropPosting(kw, pos)
+		case newTF != tf:
+			idx.movePosting(kw, pos, newTF)
+		}
+		if stays {
+			kept++
+		}
+	}
+	if kept != len(oldKws) || kept != len(termCounts) {
+		// The keyword set changed: rebuild the forward map (a fresh slice —
+		// the old one may be shared with a published chunk) and insert the
+		// new keywords' postings.
+		kws := make([]string, 0, len(termCounts))
+		for kw, tf := range termCounts {
+			kws = append(kws, kw)
+			if !slices.Contains(oldKws, kw) {
+				idx.insertPosting(kw, Posting{Frag: ref, TF: tf})
+			}
+		}
+		idx.chunkForWrite(ref).kwOf[ci] = kws
+	}
+	s.epoch += 2
+	return nil
+}
+
+// movePosting repositions the posting at pos in kw's list for a new TF,
+// keeping the list's (TF desc, id asc) order.
+func (idx *Index) movePosting(kw string, pos int, tf int64) {
+	pl := idx.listForWrite(kw, false)
+	p := pl.ps[pos]
+	p.TF = tf
+	pl.ps = idx.placePosting(append(pl.ps[:pos], pl.ps[pos+1:]...), p)
+}
+
+// dropPosting deletes the live posting at pos from kw's list, updating its
+// liveness bookkeeping, and compacts the list once its tombstones reach
+// the threshold (the removal raised their share).
+func (idx *Index) dropPosting(kw string, pos int) {
+	s := idx.s
+	pl := idx.listForWrite(kw, false)
+	pl.ps = append(pl.ps[:pos], pl.ps[pos+1:]...)
+	if pl.liveDF() == 0 {
+		s.liveKws--
+	}
+	pl.recompute()
+	switch {
+	case len(pl.ps) == 0:
+		delete(s.shards[shardIndex(kw)].lists, kw)
+	case pl.dead*idx.compactDen >= len(pl.ps)*idx.compactNum:
+		idx.CompactPostings(kw)
+	}
 }
 
 // liveFragmentsByID returns the live refs in identifier order together
@@ -167,16 +264,19 @@ func (s *Snapshot) liveFragmentsByID() ([]FragRef, map[FragRef]map[string]int64)
 			m[kw] += p.TF
 		}
 	})
+	return s.liveRefsByID(), counts
+}
+
+// liveRefsByID returns the live refs sorted by fragment identifier.
+func (s *Snapshot) liveRefsByID() []FragRef {
 	order := make([]FragRef, 0, s.liveFrags)
 	for ref := 0; ref < s.numRefs; ref++ {
 		if s.aliveAt(FragRef(ref)) {
 			order = append(order, FragRef(ref))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return s.metaAt(order[i]).ID.Compare(s.metaAt(order[j]).ID) < 0
-	})
-	return order, counts
+	sortRefsByID(s, order)
+	return order
 }
 
 // Compact rebuilds the index without tombstones, reclaiming posting slots

@@ -115,6 +115,19 @@ func (l *LiveIndex) Dump() *Dump {
 	return l.builder.Dump()
 }
 
+// Checkpoint hands save the published epoch and a lazy dump of the
+// serving state while holding the writer lock, so no publish can land
+// between the dump and whatever save persists — the durable layer's
+// checkpoint cut (a dump taken outside the lock could fall behind a
+// record journaled after it). save calls dump only when it needs the
+// state, so an unchanged shard skips the O(index) dump. Applies wait
+// for save to return.
+func (l *LiveIndex) Checkpoint(save func(epoch uint64, dump func() *Dump) error) error {
+	l.writeMu.Lock()
+	defer l.writeMu.Unlock()
+	return save(l.cur.Load().epoch, l.builder.Dump)
+}
+
 // ApplyStats reports what one publish did and what it physically cost.
 type ApplyStats struct {
 	// Deltas is how many deltas were folded into this publish (1 for

@@ -39,18 +39,25 @@ type Dump struct {
 	EqAttrs   []string
 	RangeAttr string
 	Epoch     uint64
-	FragKeys  []string // live fragments, identifier-sorted
-	Terms     []int64  // parallel to FragKeys
-	Keywords  []string // sorted
+	FragKeys  []string    // live fragments, identifier-sorted
+	Terms     []int64     // parallel to FragKeys
+	Keywords  []string    // sorted
 	Postings  [][]Posting // parallel to Keywords; Frag indexes FragKeys
 }
 
 // Dump captures the index's current logical state (see Dump's type doc).
 // Tombstones are compacted away: dumped refs are positions in the
 // identifier-sorted live fragment list, not the builder's ref space.
+//
+// The dump is linear in the index: a dense ref→position table remaps each
+// live posting as the sorted keywords are walked. Posting lists are
+// already ordered (TF descending, identifier ascending), and positions
+// follow identifier order, so each remapped list comes out in Dump order
+// without a per-fragment map or a re-sort (a list restored out of order
+// from untrusted input is the one case that still sorts).
 func (idx *Index) Dump() *Dump {
 	s := idx.s
-	order, counts := s.liveFragmentsByID()
+	order := s.liveRefsByID()
 	d := &Dump{
 		SelAttrs:  append([]string(nil), s.spec.SelAttrs...),
 		EqAttrs:   append([]string(nil), s.spec.EqAttrs...),
@@ -59,39 +66,50 @@ func (idx *Index) Dump() *Dump {
 		FragKeys:  make([]string, len(order)),
 		Terms:     make([]int64, len(order)),
 	}
-	pos := make(map[FragRef]int, len(order))
+	pos := make([]int32, s.numRefs) // dump position per live ref
 	for i, ref := range order {
 		m := s.metaAt(ref)
 		d.FragKeys[i] = m.ID.Key()
 		d.Terms[i] = m.Terms
-		pos[ref] = i
+		pos[ref] = int32(i)
 	}
-	lists := make(map[string][]Posting)
-	for ref, kws := range counts {
-		if !s.aliveAt(ref) {
-			continue
+	d.Keywords = make([]string, 0, s.liveKws)
+	s.eachList(func(kw string, pl *postingList) {
+		if pl.liveDF() > 0 {
+			d.Keywords = append(d.Keywords, kw)
 		}
-		for kw, tf := range kws {
-			lists[kw] = append(lists[kw], Posting{Frag: FragRef(pos[ref]), TF: tf})
-		}
-	}
-	d.Keywords = make([]string, 0, len(lists))
-	for kw := range lists {
-		d.Keywords = append(d.Keywords, kw)
-	}
+	})
 	sort.Strings(d.Keywords)
 	d.Postings = make([][]Posting, len(d.Keywords))
 	for i, kw := range d.Keywords {
-		ps := lists[kw]
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].TF != ps[b].TF {
-				return ps[a].TF > ps[b].TF
+		pl := s.list(kw)
+		ps := make([]Posting, 0, pl.liveDF())
+		ordered := true
+		for _, p := range pl.ps {
+			if pl.dead > 0 && !s.aliveAt(p.Frag) {
+				continue
 			}
-			return ps[a].Frag < ps[b].Frag // dump refs are identifier-sorted
-		})
+			q := Posting{Frag: FragRef(pos[p.Frag]), TF: p.TF}
+			if n := len(ps); n > 0 && dumpLess(q, ps[n-1]) {
+				ordered = false
+			}
+			ps = append(ps, q)
+		}
+		if !ordered {
+			sort.Slice(ps, func(a, b int) bool { return dumpLess(ps[a], ps[b]) })
+		}
 		d.Postings[i] = ps
 	}
 	return d
+}
+
+// dumpLess is Dump's posting order: TF descending, then dump position
+// (identifier order) ascending.
+func dumpLess(a, b Posting) bool {
+	if a.TF != b.TF {
+		return a.TF > b.TF
+	}
+	return a.Frag < b.Frag
 }
 
 // Restore rebuilds an index from a Dump, validating it as untrusted input:

@@ -58,10 +58,10 @@ func DecodeValue(b []byte) (Value, int, error) {
 			return Value{}, 0, ErrCorruptRow
 		}
 		start := 1 + sz
-		end := start + int(n)
-		if end > len(b) {
+		if n > uint64(len(b)-start) { // compared unsigned: a huge n must not wrap int
 			return Value{}, 0, ErrCorruptRow
 		}
+		end := start + int(n)
 		return String(string(b[start:end])), end, nil
 	default:
 		return Value{}, 0, fmt.Errorf("%w: unknown kind byte %d", ErrCorruptRow, b[0])
@@ -95,6 +95,11 @@ func DecodeRow(b []byte) (Row, int, error) {
 		return nil, 0, ErrCorruptRow
 	}
 	off := sz
+	// Every value takes at least one byte, so the input bounds any honest
+	// count; a corrupt count must not size the allocation.
+	if n > uint64(len(b)-off) {
+		return nil, 0, ErrCorruptRow
+	}
 	row := make(Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		v, used, err := DecodeValue(b[off:])

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -231,5 +233,18 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeKey(string([]byte{byte(KindString), 200})); err == nil {
 		t.Error("truncated string should fail")
+	}
+}
+
+// TestDecodeCorruptLengths: a string length or row count near 2^64 is
+// corruption, not a slice bound that wraps negative or an allocation that
+// panics.
+func TestDecodeCorruptLengths(t *testing.T) {
+	huge := binary.AppendUvarint([]byte{byte(KindString)}, math.MaxUint64-3)
+	if _, _, err := DecodeValue(append(huge, "abc"...)); !errors.Is(err, ErrCorruptRow) {
+		t.Errorf("huge string length: err = %v", err)
+	}
+	if _, _, err := DecodeRow(binary.AppendUvarint(nil, math.MaxUint64)); !errors.Is(err, ErrCorruptRow) {
+		t.Errorf("huge row count: err = %v", err)
 	}
 }
