@@ -332,10 +332,69 @@ type handle struct {
 	bound int64
 }
 
+// EngineStats is the serving-stats report Handle.Stats answers (and
+// /v1/admin/stats serves). Counters are sums across shards (Keywords
+// counts posting lists, so a keyword spanning k shards contributes k);
+// MaxEpoch is the highest per-shard epoch, since shards advance
+// independently.
+type EngineStats struct {
+	// Topology is always "sharded": every handle serves S >= 1 shards.
+	Topology       string  `json:"topology"`
+	Shards         int     `json:"shards"`
+	Fragments      int     `json:"fragments"`
+	Keywords       int     `json:"keywords"`
+	TombstonedRefs int     `json:"tombstoned_refs"`
+	AvgTerms       float64 `json:"avg_terms_per_fragment"`
+	MaxEpoch       uint64  `json:"max_epoch"`
+	DeltasApplied  uint64  `json:"deltas_applied"`
+	Publishes      uint64  `json:"publishes"`
+	// Queued counts deltas buffered by Queue and awaiting Flush.
+	Queued      int    `json:"queued_deltas"`
+	Inserted    uint64 `json:"fragments_inserted"`
+	Removed     uint64 `json:"fragments_removed"`
+	Updated     uint64 `json:"fragments_updated"`
+	Compactions uint64 `json:"compactions"`
+	// PerShard carries each shard's own serving stats (epoch, publish
+	// counters) in shard order.
+	PerShard []fragindex.LiveStats `json:"per_shard,omitempty"`
+	// Cache and Admission report the result cache and admission
+	// controller when the handle was opened with them (WithResultCache /
+	// WithAdmissionControl); nil otherwise.
+	Cache     *CacheStats     `json:"cache,omitempty"`
+	Admission *AdmissionStats `json:"admission,omitempty"`
+	// Durability reports the durable store's journal/checkpoint counters
+	// and health state for handles opened with WithDataDir; nil for
+	// in-memory handles.
+	Durability *DurabilityStats `json:"durability,omitempty"`
+	// Replication reports a replica handle's tail state (applied epochs,
+	// lag, sever/reconnect counters); nil on leaders and standalone
+	// handles.
+	Replication *ReplicationStats `json:"replication,omitempty"`
+	// Replicas reports a routing leader's per-replica placement state
+	// (WithReplicas); nil elsewhere.
+	Replicas *ReplicaRouterStats `json:"replicas,omitempty"`
+}
+
 // Stats reports the index's serving stats (Queued is the handle's Queue
 // buffer) with a block for each present layer.
 func (h *handle) Stats() EngineStats {
-	st := h.engine.Stats()
+	ls := h.live.Stats()
+	st := EngineStats{
+		Topology:       "sharded",
+		Shards:         ls.Shards,
+		Fragments:      ls.Fragments,
+		Keywords:       ls.KeywordLists,
+		TombstonedRefs: ls.TombstonedRefs,
+		AvgTerms:       ls.AvgTerms,
+		MaxEpoch:       ls.MaxEpoch,
+		DeltasApplied:  ls.DeltasApplied,
+		Publishes:      ls.Publishes,
+		Inserted:       ls.Inserted,
+		Removed:        ls.Removed,
+		Updated:        ls.Updated,
+		Compactions:    ls.Compactions,
+		PerShard:       ls.PerShard,
+	}
 	h.pendMu.Lock()
 	st.Queued = len(h.pending)
 	h.pendMu.Unlock()

@@ -15,7 +15,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/fragindex"
+	dash "repro"
 	"repro/internal/harness"
 	"repro/internal/relation"
 	"repro/internal/search"
@@ -46,13 +46,7 @@ func run(args []string) error {
 		return fmt.Errorf("no keywords given")
 	}
 
-	f, err := os.Open(*indexPath)
-	if err != nil {
-		return err
-	}
-	//lint:ignore droppederr file is opened read-only; Close cannot lose data
-	defer f.Close()
-	idx, err := fragindex.Load(f)
+	idx, err := dash.LoadIndex(context.Background(), *indexPath)
 	if err != nil {
 		return err
 	}

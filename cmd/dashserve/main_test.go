@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -361,7 +363,8 @@ func TestV1ApplyHandler(t *testing.T) {
 }
 
 // TestV1StatsHandler covers /v1/admin/stats: the unified EngineStats
-// shape with topology, aggregate, and one per-shard entry per shard.
+// shape with topology, aggregate, and one per-shard entry per shard, with
+// its key set and key order pinned.
 func TestV1StatsHandler(t *testing.T) {
 	mux, engine := testMux(t)
 	rec := get(t, mux, "/v1/admin/stats")
@@ -380,6 +383,57 @@ func TestV1StatsHandler(t *testing.T) {
 	if st.Fragments != want.Fragments || st.Fragments == 0 {
 		t.Errorf("stats fragments = %d, want %d (> 0)", st.Fragments, want.Fragments)
 	}
+
+	// The key set and order are part of the /v1 contract.
+	aggregate := []string{"topology", "shards", "fragments", "keywords", "tombstoned_refs",
+		"avg_terms_per_fragment", "max_epoch", "deltas_applied", "publishes", "queued_deltas",
+		"fragments_inserted", "fragments_removed", "fragments_updated", "compactions", "per_shard"}
+	var body struct {
+		PerShard []json.RawMessage `json:"per_shard"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if got := objectKeys(t, rec.Body.Bytes()); !slices.Equal(got, aggregate) {
+		t.Errorf("stats keys\n%v\nwant\n%v", got, aggregate)
+	}
+	shard := []string{"epoch", "fragments", "keywords", "tombstoned_refs", "avg_terms_per_fragment",
+		"deltas_applied", "publishes", "fragments_inserted", "fragments_removed", "fragments_updated",
+		"compactions"}
+	for i, row := range body.PerShard {
+		if got := objectKeys(t, row); !slices.Equal(got, shard) {
+			t.Errorf("per_shard[%d] keys\n%v\nwant\n%v", i, got, shard)
+		}
+	}
+	// Each present layer appends its block after the aggregate.
+	layered, _ := testMuxCfg(t, serveConfig{searchTimeout: 5 * time.Second},
+		dash.WithResultCache(1<<20), dash.WithAdmissionControl(dash.AdmissionOptions{MinBudget: time.Second}))
+	got := objectKeys(t, get(t, layered, "/v1/admin/stats").Body.Bytes())
+	if wantKeys := append(slices.Clone(aggregate), "cache", "admission"); !slices.Equal(got, wantKeys) {
+		t.Errorf("layered stats keys\n%v\nwant\n%v", got, wantKeys)
+	}
+}
+
+// objectKeys returns the top-level keys of a JSON object in document order.
+func objectKeys(t *testing.T, b []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // TestHomePage: the human demo moved to / — a form without q, rendered

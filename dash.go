@@ -93,10 +93,10 @@ package dash
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/crawl"
+	"repro/internal/durable"
 	"repro/internal/fragindex"
 	"repro/internal/fragment"
 	"repro/internal/relation"
@@ -122,8 +122,6 @@ type (
 	Result = search.Result
 	// BatchResult is one request's outcome within a SearchBatch.
 	BatchResult = search.BatchResult
-	// EngineStats is the serving-stats shape Handle.Stats answers.
-	EngineStats = search.Stats
 	// FragRef identifies a fragment within an Index.
 	FragRef = fragindex.FragRef
 	// FragmentID identifies a fragment: its selection-attribute values.
@@ -250,8 +248,19 @@ func Build(ctx context.Context, db *Database, app *Application, opts BuildOption
 	return idx, stats, nil
 }
 
-// SaveIndex serializes an index (gob encoding).
-func SaveIndex(idx *Index, w io.Writer) error { return idx.Save(w) }
+// SaveIndex writes an index to path as a snapshot file — the checksummed
+// DASHSNP1 format durable data dirs checkpoint into — atomically: on error
+// the target is untouched. Tombstoned fragments are compacted away.
+func SaveIndex(ctx context.Context, idx *Index, path string) error {
+	return durable.WriteSnapshot(ctx, path, idx.Dump())
+}
 
-// LoadIndex deserializes an index written by SaveIndex.
-func LoadIndex(r io.Reader) (*Index, error) { return fragindex.Load(r) }
+// LoadIndex reads an index written by SaveIndex, verifying every checksum
+// and rebuilding the index with Restore's validation.
+func LoadIndex(ctx context.Context, path string) (*Index, error) {
+	d, err := durable.ReadSnapshot(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	return fragindex.Restore(d)
+}

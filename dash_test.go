@@ -1,8 +1,8 @@
 package dash
 
 import (
-	"bytes"
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fooddb"
@@ -90,11 +90,11 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveIndex(idx, &buf); err != nil {
+	path := filepath.Join(t.TempDir(), "food.idx")
+	if err := SaveIndex(context.Background(), idx, path); err != nil {
 		t.Fatalf("SaveIndex: %v", err)
 	}
-	loaded, err := LoadIndex(&buf)
+	loaded, err := LoadIndex(context.Background(), path)
 	if err != nil {
 		t.Fatalf("LoadIndex: %v", err)
 	}

@@ -6,12 +6,12 @@ package dash
 // algorithms, with serialization in the middle.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -140,11 +140,11 @@ func TestIntegrationSaveLoadServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveIndex(idx, &buf); err != nil {
+	path := filepath.Join(t.TempDir(), "q1.idx")
+	if err := SaveIndex(context.Background(), idx, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf)
+	loaded, err := LoadIndex(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func cloneIndex(t *testing.T, idx *fragindex.Index) *fragindex.Index {
 // returns the resulting epoch, mirroring what the journal must reproduce.
 func applyTracked(t *testing.T, idx *fragindex.Index, d crawl.Delta) uint64 {
 	t.Helper()
-	if err := applyToBuilder(idx, d); err != nil {
+	if _, err := idx.Fold(context.Background(), d.Changes); err != nil {
 		t.Fatal(err)
 	}
 	return idx.Freeze().Epoch()

@@ -1,10 +1,12 @@
 package durable
 
-// Native fuzz targets for the two byte decoders that face the network and
-// the disk on the replication path: tail frames read off the wire and
-// journal files read back at recovery. Each target asserts that a decoder
-// never panics and either returns a typed error or a value that survives
-// an encode/decode round trip unchanged. Run one with, for example,
+// Native fuzz targets for the byte decoders that face the network and the
+// disk: tail frames read off the wire, journal files read back at
+// recovery, and snapshot files (index files, checkpoints, replica
+// bootstraps) together with the index Restore that follows them. Each
+// target asserts that a decoder never panics and either returns a typed
+// error or a value that survives an encode/decode round trip unchanged.
+// Run one with, for example,
 //
 //	go test -run '^$' -fuzz '^FuzzParseTailFrames$' -fuzztime 30s ./internal/durable/
 //
@@ -16,10 +18,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/crawl"
+	"repro/internal/fooddb"
+	"repro/internal/fragindex"
 	"repro/internal/fragment"
+	"repro/internal/psj"
 	"repro/internal/relation"
 )
 
@@ -168,5 +176,135 @@ func checkJournal(t *testing.T, b []byte, allowTorn bool) {
 	}
 	if !bytes.Equal(append(journalHeader(again.baseEpoch), reframe(recs)...), canon) {
 		t.Fatal("re-encoding is not stable")
+	}
+}
+
+func FuzzDecodeSnapshot(f *testing.F) {
+	food := encodeSnapshot(f, fooddbDump(f))
+	f.Add(food)
+	f.Add(food[:len(food)/2])
+	golden, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*", "shard-*", "snap-*.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range golden {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkSnapshot(t, b)
+		// The same bytes with every checksum recomputed, so mutations
+		// inside a section reach the payload decoders and Restore
+		// instead of dying at a CRC.
+		checkSnapshot(t, reseal(b))
+	})
+}
+
+// fooddbDump is the dump of the paper's running-example index.
+func fooddbDump(tb testing.TB) *fragindex.Dump {
+	tb.Helper()
+	db := fooddb.New()
+	b, err := psj.Bind(psj.MustParse(fooddb.SearchSQL), db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := crawl.Reference(db, b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec, err := fragindex.SpecFromBound(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	idx, err := fragindex.Build(out, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return idx.Dump()
+}
+
+// encodeSnapshot returns the bytes writeSnapshot writes for d.
+func encodeSnapshot(tb testing.TB, d *fragindex.Dump) []byte {
+	tb.Helper()
+	var table []sectionEntry
+	var body []byte
+	off := uint64(snapHeaderSize(d))
+	err := encodeSections(d, func(p []byte) error {
+		table = append(table, sectionEntry{off: off, len: uint64(len(p)), crc: crc32.ChecksumIEEE(p)})
+		off += uint64(len(p))
+		body = append(body, p...)
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(encodeHeader(table), body...)
+}
+
+// reseal returns b with each in-bounds section's checksum and the header
+// checksum recomputed over b's own bytes. Input too short for its section
+// table comes back unchanged.
+func reseal(b []byte) []byte {
+	if len(b) < snapFixedHeader {
+		return b
+	}
+	count := int(binary.LittleEndian.Uint32(b[12:16]))
+	if count < 1 || count > maxSections {
+		return b
+	}
+	headerSize := snapFixedHeader + count*snapTableEntry + snapHeaderTrailer
+	if len(b) < headerSize {
+		return b
+	}
+	out := append([]byte(nil), b...)
+	for i := 0; i < count; i++ {
+		at := snapFixedHeader + i*snapTableEntry
+		off, n := binary.LittleEndian.Uint64(out[at:]), binary.LittleEndian.Uint64(out[at+8:])
+		if off >= uint64(headerSize) && off <= uint64(len(out)) && n <= uint64(len(out))-off {
+			binary.LittleEndian.PutUint32(out[at+16:], crc32.ChecksumIEEE(out[off:off+n]))
+		}
+	}
+	binary.LittleEndian.PutUint32(out[headerSize-4:], crc32.ChecksumIEEE(out[:headerSize-4]))
+	return out
+}
+
+// checkSnapshot asserts the snapshot decoder's contract on one input: a
+// typed error, or a dump that re-encodes to an equal dump. A decoded dump
+// then either fails Restore with ErrCorruptIndex or restores to an index
+// whose own dump restores to the same dump.
+func checkSnapshot(t *testing.T, b []byte) {
+	t.Helper()
+	d, err := DecodeSnapshot(b, "fuzz")
+	if err != nil {
+		if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		return
+	}
+	again, err := DecodeSnapshot(encodeSnapshot(t, d), "canon")
+	if err != nil {
+		t.Fatalf("re-encoded snapshot does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(again, d) {
+		t.Fatalf("round trip changed the dump:\n%+v\n%+v", d, again)
+	}
+	idx, err := fragindex.Restore(d)
+	if err != nil {
+		if !errors.Is(err, fragindex.ErrCorruptIndex) {
+			t.Fatalf("untyped restore error: %v", err)
+		}
+		return
+	}
+	canon := idx.Dump()
+	re, err := fragindex.Restore(canon)
+	if err != nil {
+		t.Fatalf("a restored index's dump does not restore: %v", err)
+	}
+	if !reflect.DeepEqual(re.Dump(), canon) {
+		t.Fatal("restore of a canonical dump changed it")
 	}
 }

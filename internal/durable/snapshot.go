@@ -90,11 +90,7 @@ func writeSnapshot(ctx context.Context, fsys faultfs.FS, path string, d *fragind
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	fragChunks := (len(d.FragKeys) + fragsPerChunk - 1) / fragsPerChunk
-	postChunks := (len(d.Keywords) + kwsPerChunk - 1) / kwsPerChunk
-	count := 1 + fragChunks + postChunks
-	headerSize := snapFixedHeader + count*snapTableEntry + snapHeaderTrailer
-
+	headerSize := snapHeaderSize(d)
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -113,9 +109,9 @@ func writeSnapshot(ctx context.Context, fsys faultfs.FS, path string, d *fragind
 	if _, err = f.Write(make([]byte, headerSize)); err != nil {
 		return err
 	}
-	table := make([]sectionEntry, 0, count)
+	var table []sectionEntry
 	off := uint64(headerSize)
-	writeSection := func(payload []byte) error {
+	err = encodeSections(d, func(payload []byte) error {
 		crashPoint("snapshot.section")
 		if _, werr := f.Write(payload); werr != nil {
 			return werr
@@ -125,59 +121,11 @@ func writeSnapshot(ctx context.Context, fsys faultfs.FS, path string, d *fragind
 		})
 		off += uint64(len(payload))
 		return nil
-	}
-
-	// Section 0: spec + layout.
-	spec := appendStrings(nil, d.SelAttrs)
-	spec = appendStrings(spec, d.EqAttrs)
-	spec = appendString(spec, d.RangeAttr)
-	spec = binary.AppendUvarint(spec, d.Epoch)
-	spec = binary.AppendUvarint(spec, uint64(len(d.FragKeys)))
-	spec = binary.AppendUvarint(spec, uint64(fragChunks))
-	spec = binary.AppendUvarint(spec, uint64(len(d.Keywords)))
-	spec = binary.AppendUvarint(spec, uint64(postChunks))
-	if err = writeSection(spec); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-
-	for lo := 0; lo < len(d.FragKeys); lo += fragsPerChunk {
-		hi := min(lo+fragsPerChunk, len(d.FragKeys))
-		chunk := binary.AppendUvarint(nil, uint64(hi-lo))
-		for i := lo; i < hi; i++ {
-			chunk = appendString(chunk, d.FragKeys[i])
-			chunk = binary.AppendUvarint(chunk, uint64(d.Terms[i]))
-		}
-		if err = writeSection(chunk); err != nil {
-			return err
-		}
-	}
-	for lo := 0; lo < len(d.Keywords); lo += kwsPerChunk {
-		hi := min(lo+kwsPerChunk, len(d.Keywords))
-		chunk := binary.AppendUvarint(nil, uint64(hi-lo))
-		for i := lo; i < hi; i++ {
-			chunk = appendString(chunk, d.Keywords[i])
-			chunk = binary.AppendUvarint(chunk, uint64(len(d.Postings[i])))
-			for _, p := range d.Postings[i] {
-				chunk = binary.AppendUvarint(chunk, uint64(p.Frag))
-				chunk = binary.AppendUvarint(chunk, uint64(p.TF))
-			}
-		}
-		if err = writeSection(chunk); err != nil {
-			return err
-		}
-	}
-
-	hdr := make([]byte, 0, headerSize)
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(count))
-	for _, e := range table {
-		hdr = binary.LittleEndian.AppendUint64(hdr, e.off)
-		hdr = binary.LittleEndian.AppendUint64(hdr, e.len)
-		hdr = binary.LittleEndian.AppendUint32(hdr, e.crc)
-	}
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
-	if _, err = f.WriteAt(hdr, 0); err != nil {
+	if _, err = f.WriteAt(encodeHeader(table), 0); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {
@@ -192,6 +140,77 @@ func writeSnapshot(ctx context.Context, fsys faultfs.FS, path string, d *fragind
 	}
 	crashPoint("snapshot.after-rename")
 	return syncDir(fsys, filepath.Dir(path))
+}
+
+// snapChunks returns how many fragment and posting chunks d encodes to.
+func snapChunks(d *fragindex.Dump) (fragChunks, postChunks int) {
+	return (len(d.FragKeys) + fragsPerChunk - 1) / fragsPerChunk,
+		(len(d.Keywords) + kwsPerChunk - 1) / kwsPerChunk
+}
+
+// snapHeaderSize is the size of d's header: the fixed fields, one table
+// entry per section, and the header CRC.
+func snapHeaderSize(d *fragindex.Dump) int {
+	fragChunks, postChunks := snapChunks(d)
+	return snapFixedHeader + (1+fragChunks+postChunks)*snapTableEntry + snapHeaderTrailer
+}
+
+// encodeSections hands each section payload of d to emit in file order:
+// the spec block, the fragment chunks, then the posting chunks.
+func encodeSections(d *fragindex.Dump, emit func(payload []byte) error) error {
+	fragChunks, postChunks := snapChunks(d)
+	spec := appendStrings(nil, d.SelAttrs)
+	spec = appendStrings(spec, d.EqAttrs)
+	spec = appendString(spec, d.RangeAttr)
+	spec = binary.AppendUvarint(spec, d.Epoch)
+	spec = binary.AppendUvarint(spec, uint64(len(d.FragKeys)))
+	spec = binary.AppendUvarint(spec, uint64(fragChunks))
+	spec = binary.AppendUvarint(spec, uint64(len(d.Keywords)))
+	spec = binary.AppendUvarint(spec, uint64(postChunks))
+	if err := emit(spec); err != nil {
+		return err
+	}
+	for lo := 0; lo < len(d.FragKeys); lo += fragsPerChunk {
+		hi := min(lo+fragsPerChunk, len(d.FragKeys))
+		chunk := binary.AppendUvarint(nil, uint64(hi-lo))
+		for i := lo; i < hi; i++ {
+			chunk = appendString(chunk, d.FragKeys[i])
+			chunk = binary.AppendUvarint(chunk, uint64(d.Terms[i]))
+		}
+		if err := emit(chunk); err != nil {
+			return err
+		}
+	}
+	for lo := 0; lo < len(d.Keywords); lo += kwsPerChunk {
+		hi := min(lo+kwsPerChunk, len(d.Keywords))
+		chunk := binary.AppendUvarint(nil, uint64(hi-lo))
+		for i := lo; i < hi; i++ {
+			chunk = appendString(chunk, d.Keywords[i])
+			chunk = binary.AppendUvarint(chunk, uint64(len(d.Postings[i])))
+			for _, p := range d.Postings[i] {
+				chunk = binary.AppendUvarint(chunk, uint64(p.Frag))
+				chunk = binary.AppendUvarint(chunk, uint64(p.TF))
+			}
+		}
+		if err := emit(chunk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeHeader returns the file header for a section table.
+func encodeHeader(table []sectionEntry) []byte {
+	hdr := make([]byte, 0, snapFixedHeader+len(table)*snapTableEntry+snapHeaderTrailer)
+	hdr = append(hdr, snapMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(table)))
+	for _, e := range table {
+		hdr = binary.LittleEndian.AppendUint64(hdr, e.off)
+		hdr = binary.LittleEndian.AppendUint64(hdr, e.len)
+		hdr = binary.LittleEndian.AppendUint32(hdr, e.crc)
+	}
+	return binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
 }
 
 // ReadSnapshot reads and fully verifies a snapshot file, returning the

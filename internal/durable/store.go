@@ -610,7 +610,13 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 			if rec.epoch <= cur {
 				continue
 			}
-			if aerr := applyToBuilder(idx, rec.delta); aerr != nil {
+			// Journaled deltas folded successfully before they were
+			// written, so a replay failure means the journal does not
+			// match the snapshot chain.
+			if _, aerr := idx.Fold(ctx, rec.delta.Changes); aerr != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, info, cerr
+				}
 				return nil, info, fmt.Errorf("%w: %s: replaying epoch %d: %v",
 					ErrCorruptJournal, filepath.Base(w.path), rec.epoch, aerr)
 			}
@@ -667,29 +673,6 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 	info.FinalEpoch = cur
 	ss.advanceEpochLocked(cur)
 	return idx, info, nil
-}
-
-// applyToBuilder replays one journaled delta against a recovering builder.
-// Journaled deltas folded successfully before they were written, so any
-// replay failure indicates the journal does not match the snapshot chain.
-func applyToBuilder(idx *fragindex.Index, del crawl.Delta) error {
-	for _, ch := range del.Changes {
-		var err error
-		switch ch.Op {
-		case crawl.OpInsertFragment:
-			_, err = idx.InsertFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
-		case crawl.OpRemoveFragment:
-			err = idx.RemoveFragment(ch.ID)
-		case crawl.OpUpdateFragment:
-			err = idx.UpdateFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
-		default:
-			err = fmt.Errorf("unknown op %v", ch.Op)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Append journals one publish's folded delta for a shard — the write-ahead

@@ -1,7 +1,6 @@
 package fragindex
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -377,61 +376,6 @@ func TestCompact(t *testing.T) {
 	}
 	if compacted.DF("burger") != 2 {
 		t.Errorf("compacted burger DF = %d", compacted.DF("burger"))
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	idx := fooddbIndex(t)
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.NumFragments() != idx.NumFragments() {
-		t.Errorf("fragments = %d, want %d", loaded.NumFragments(), idx.NumFragments())
-	}
-	if loaded.NumEdges() != idx.NumEdges() {
-		t.Errorf("edges = %d, want %d", loaded.NumEdges(), idx.NumEdges())
-	}
-	if !reflect.DeepEqual(graphShape(t, loaded), graphShape(t, idx)) {
-		t.Error("graph shape changed through serialization")
-	}
-	if !reflect.DeepEqual(loaded.Spec(), idx.Spec()) {
-		t.Errorf("spec = %+v, want %+v", loaded.Spec(), idx.Spec())
-	}
-	for _, kw := range []string{"burger", "coffee", "fries"} {
-		if loaded.DF(kw) != idx.DF(kw) {
-			t.Errorf("%s DF = %d, want %d", kw, loaded.DF(kw), idx.DF(kw))
-		}
-	}
-}
-
-func TestSaveCompactsTombstones(t *testing.T) {
-	idx := fooddbIndex(t)
-	ref := refByName(t, idx, "(Thai,10)")
-	m, _ := idx.Meta(ref)
-	if err := idx.RemoveFragment(m.ID); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.NumFragments() != 4 || loaded.NumRefs() != 4 {
-		t.Errorf("loaded fragments = %d/%d, want 4/4", loaded.NumFragments(), loaded.NumRefs())
-	}
-}
-
-func TestLoadCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); !errors.Is(err, ErrCorruptIndex) {
-		t.Errorf("corrupt err = %v", err)
 	}
 }
 

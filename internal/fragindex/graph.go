@@ -150,7 +150,7 @@ func (idx *Index) RemoveFragment(id fragment.ID) error {
 			s.liveKws--
 		}
 		pl.recompute()
-		if pl.dead*idx.compactDen >= len(pl.ps)*idx.compactNum {
+		if pl.dead*compactDeadDen >= len(pl.ps)*compactDeadNum {
 			idx.CompactPostings(kw)
 		}
 	}
@@ -239,32 +239,9 @@ func (idx *Index) dropPosting(kw string, pos int) {
 	switch {
 	case len(pl.ps) == 0:
 		delete(s.shards[shardIndex(kw)].lists, kw)
-	case pl.dead*idx.compactDen >= len(pl.ps)*idx.compactNum:
+	case pl.dead*compactDeadDen >= len(pl.ps)*compactDeadNum:
 		idx.CompactPostings(kw)
 	}
-}
-
-// liveFragmentsByID returns the live refs in identifier order together
-// with per-fragment term counts recovered from the inverted lists — the
-// reconstruction both Compact and the sharded partition pass rebuild
-// from. Identifier order is the order fragindex.Build inserts in, so a
-// rebuild preserves group-path member order and per-list posting order.
-func (s *Snapshot) liveFragmentsByID() ([]FragRef, map[FragRef]map[string]int64) {
-	counts := make(map[FragRef]map[string]int64)
-	s.eachList(func(kw string, pl *postingList) {
-		for _, p := range pl.ps {
-			if !s.aliveAt(p.Frag) {
-				continue
-			}
-			m, ok := counts[p.Frag]
-			if !ok {
-				m = make(map[string]int64)
-				counts[p.Frag] = m
-			}
-			m[kw] += p.TF
-		}
-	})
-	return s.liveRefsByID(), counts
 }
 
 // liveRefsByID returns the live refs sorted by fragment identifier.
@@ -277,25 +254,4 @@ func (s *Snapshot) liveRefsByID() []FragRef {
 	}
 	sortRefsByID(s, order)
 	return order
-}
-
-// Compact rebuilds the index without tombstones, reclaiming posting slots
-// and renumbering refs. It returns the compacted index; the receiver is
-// left untouched, and the result shares no storage with it (or with any
-// snapshot it published).
-func (idx *Index) Compact() (*Index, error) {
-	s := idx.s
-	out, err := New(s.spec)
-	if err != nil {
-		return nil, err
-	}
-	out.compactNum, out.compactDen = idx.compactNum, idx.compactDen
-	order, counts := s.liveFragmentsByID()
-	for _, ref := range order {
-		m := s.metaAt(ref)
-		if _, err := out.InsertFragment(m.ID, counts[ref], m.Terms); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -124,13 +124,10 @@ func (pl *postingList) recompute() {
 }
 
 // Lists whose tombstones reach the compaction threshold (dead/len >=
-// num/den, default compactDeadNum/compactDeadDen) are compacted on the
-// spot; below the threshold Postings filters a copy. Each compaction is
-// O(list) after Ω(list) removals, so tombstone reclamation is amortized
-// O(1) per removal. The threshold is tunable per index via
-// SetPostingCompaction: a lower ratio keeps lists cleaner (cheaper
-// Postings reads while tombstones linger) at the cost of more frequent
-// O(list) rewrites on removal-heavy churn.
+// compactDeadNum/compactDeadDen) are compacted on the spot; below the
+// threshold Postings filters a copy. Each compaction is O(list) after
+// Ω(list) removals, so tombstone reclamation is amortized O(1) per
+// removal.
 const (
 	compactDeadNum = 1
 	compactDeadDen = 4
@@ -213,10 +210,6 @@ type group struct {
 type Index struct {
 	s *Snapshot
 
-	// compactNum/compactDen is the posting-list compaction threshold
-	// (see SetPostingCompaction); defaults to compactDeadNum/Den.
-	compactNum, compactDen int
-
 	// cow is set once Freeze has published a snapshot: from then on every
 	// mutation copies shared structures before writing. The owned* sets
 	// track what has already been copied since the last Freeze — metadata
@@ -238,8 +231,6 @@ func New(spec Spec) (*Index, error) {
 		return nil, err
 	}
 	return &Index{
-		compactNum: compactDeadNum,
-		compactDen: compactDeadDen,
 		s: &Snapshot{
 			spec:     spec,
 			eqIdx:    eqIdx,
@@ -248,21 +239,6 @@ func New(spec Spec) (*Index, error) {
 			gshards:  newGroupShards(),
 		},
 	}, nil
-}
-
-// SetPostingCompaction tunes the lazy posting-list compaction threshold:
-// a list is rewritten without its tombstones once dead entries reach
-// num/den of its length. Lower ratios compact more eagerly (cleaner lists
-// for the read path, more O(list) rewrites under removal churn); higher
-// ratios defer the rewrite but make Postings pay a filtered copy while
-// tombstones linger. The default is 1/4. Requires 0 < num <= den. Like any
-// mutation, it must not race with other builder calls.
-func (idx *Index) SetPostingCompaction(num, den int) error {
-	if num <= 0 || den <= 0 || num > den {
-		return fmt.Errorf("fragindex: invalid posting compaction threshold %d/%d", num, den)
-	}
-	idx.compactNum, idx.compactDen = num, den
-	return nil
 }
 
 // Build constructs the index from a crawl output in one pass: fragments are

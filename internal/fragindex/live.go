@@ -183,7 +183,7 @@ func (l *LiveIndex) Apply(ctx context.Context, d crawl.Delta) (ApplyStats, error
 	if len(d.Changes) == 0 {
 		return ApplyStats{Epoch: l.cur.Load().epoch}, nil
 	}
-	return l.applyLocked(ctx, d.SelAttrs, d.Changes, 1)
+	return l.applyLocked(ctx, d.SelAttrs, d.Changes, 1, 0)
 }
 
 // ApplyBatch coalesces a sequence of deltas (crawl.Coalesce) and publishes
@@ -212,44 +212,68 @@ func (l *LiveIndex) ApplyBatch(ctx context.Context, ds []crawl.Delta) (ApplyStat
 	if len(folded.Changes) == 0 {
 		return ApplyStats{Deltas: len(ds), Epoch: l.cur.Load().epoch}, nil
 	}
-	return l.applyLocked(ctx, folded.SelAttrs, folded.Changes, len(ds))
+	return l.applyLocked(ctx, folded.SelAttrs, folded.Changes, len(ds), 0)
 }
 
-// applyLocked folds changes into the next version and publishes it.
-// Caller holds writeMu and guarantees len(changes) > 0. A cancellation
-// observed between changes rolls back and publishes nothing; so does a
-// publish-hook failure after the fold.
-func (l *LiveIndex) applyLocked(ctx context.Context, selAttrs []string, changes []crawl.FragmentChange, deltas int) (ApplyStats, error) {
-	published := l.cur.Load()
-	st := ApplyStats{Deltas: deltas}
+// Fold applies a delta's changes to the builder in order and reports what
+// they did. It is the one place a delta is replayed: leader and replica
+// publishes (through LiveIndex) and journal recovery all run it. Fold is
+// not transactional: on an error — a change that cannot apply, an unknown
+// op, or ctx cancelled between changes, returned as ctx.Err() — the
+// builder holds a partial fold, and the caller discards it (LiveIndex
+// rolls back to its published snapshot; recovery abandons the builder).
+func (idx *Index) Fold(ctx context.Context, changes []crawl.FragmentChange) (ApplyStats, error) {
+	var st ApplyStats
 	for _, ch := range changes {
 		if err := ctx.Err(); err != nil {
-			l.builder.discardTo(published)
 			return ApplyStats{}, err
 		}
 		var err error
 		switch ch.Op {
 		case crawl.OpInsertFragment:
-			_, err = l.builder.InsertFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
+			_, err = idx.InsertFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
 			st.Inserted++
 		case crawl.OpRemoveFragment:
-			err = l.builder.RemoveFragment(ch.ID)
+			err = idx.RemoveFragment(ch.ID)
 			st.Removed++
 		case crawl.OpUpdateFragment:
-			err = l.builder.UpdateFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
+			err = idx.UpdateFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
 			st.Updated++
 		default:
 			err = fmt.Errorf("fragindex: unknown delta op %v", ch.Op)
 		}
 		if err != nil {
-			l.builder.discardTo(published)
 			return ApplyStats{}, fmt.Errorf("applying %s %s: %w", ch.Op, ch.ID, err)
 		}
 	}
+	return st, nil
+}
+
+// applyLocked folds changes into the next version and publishes it.
+// Caller holds writeMu. A non-zero stamp is the epoch the publish reports
+// instead of the builder's own count (a replica serving its leader's
+// epoch); a stamped publish skips the hook, since durability stays with
+// the leader. A cancellation observed between changes rolls back and
+// publishes nothing; so does a publish-hook failure after the fold.
+func (l *LiveIndex) applyLocked(ctx context.Context, selAttrs []string, changes []crawl.FragmentChange, deltas int, stamp uint64) (ApplyStats, error) {
+	published := l.cur.Load()
+	st, err := l.builder.Fold(ctx, changes)
+	if err != nil {
+		l.builder.discardTo(published)
+		return ApplyStats{}, err
+	}
+	st.Deltas = deltas
 	st.ClonedChunks, st.ClonedShards, st.ClonedLists, st.ClonedGroups = l.builder.pendingClones()
+	if stamp != 0 {
+		// beginWrite first: with an empty delta the builder still shares
+		// the published snapshot struct, and the stamp must never mutate a
+		// version readers already hold.
+		l.builder.beginWrite()
+		l.builder.SetEpoch(stamp)
+	}
 	snap := l.builder.Freeze()
 	st.Epoch = snap.epoch
-	if l.hook != nil {
+	if l.hook != nil && stamp == 0 {
 		// Write-ahead: the journal record must be durable before the swap
 		// makes the publish visible (and acknowledgeable). A hook failure
 		// aborts the publish — the frozen-but-unpublished snapshot is

@@ -5,11 +5,12 @@ package fragindex
 // carries the epoch the leader published at (mutation epochs skip numbers —
 // a ten-change delta advances the counter ten times), and the replica must
 // serve the identical epoch for the identical bytes. ApplyReplicated is
-// Apply with the epoch stamped from the record instead of counted locally,
-// plus the duplicate-delivery guard: a record at or below the published
-// epoch is rejected with ErrStaleEpoch rather than double-applied —
-// tail-reconnect replays the cursor record, and folding the same delta
-// twice would corrupt the index (duplicate inserts, double-counted terms).
+// a duplicate-delivery guard in front of Apply's fold-and-publish, with
+// the record's epoch stamped instead of counted locally. The guard: a
+// record at or below the published epoch is rejected with ErrStaleEpoch
+// rather than double-applied — tail-reconnect replays the cursor record,
+// and folding the same delta twice would corrupt the index (duplicate
+// inserts, double-counted terms).
 
 import (
 	"context"
@@ -46,46 +47,7 @@ func (l *LiveIndex) ApplyReplicated(ctx context.Context, d crawl.Delta, epoch ui
 	if err := l.checkSpec(d.SelAttrs); err != nil {
 		return ApplyStats{}, err
 	}
-	st := ApplyStats{Deltas: 1}
-	for _, ch := range d.Changes {
-		if err := ctx.Err(); err != nil {
-			l.builder.discardTo(published)
-			return ApplyStats{}, err
-		}
-		var err error
-		switch ch.Op {
-		case crawl.OpInsertFragment:
-			_, err = l.builder.InsertFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
-			st.Inserted++
-		case crawl.OpRemoveFragment:
-			err = l.builder.RemoveFragment(ch.ID)
-			st.Removed++
-		case crawl.OpUpdateFragment:
-			err = l.builder.UpdateFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
-			st.Updated++
-		default:
-			err = fmt.Errorf("fragindex: unknown delta op %v", ch.Op)
-		}
-		if err != nil {
-			l.builder.discardTo(published)
-			return ApplyStats{}, fmt.Errorf("applying %s %s: %w", ch.Op, ch.ID, err)
-		}
-	}
-	st.ClonedChunks, st.ClonedShards, st.ClonedLists, st.ClonedGroups = l.builder.pendingClones()
-	// Stamp the leader's epoch. beginWrite first: with an empty delta the
-	// builder still shares the published snapshot struct, and the stamp
-	// must never mutate a version readers already hold.
-	l.builder.beginWrite()
-	l.builder.SetEpoch(epoch)
-	snap := l.builder.Freeze()
-	st.Epoch = snap.epoch
-	l.cur.Store(snap)
-	l.deltas.Add(1)
-	l.publishes.Add(1)
-	l.inserted.Add(uint64(st.Inserted))
-	l.removed.Add(uint64(st.Removed))
-	l.updated.Add(uint64(st.Updated))
-	return st, nil
+	return l.applyLocked(ctx, d.SelAttrs, d.Changes, 1, epoch)
 }
 
 // ResetTo replaces the serving state wholesale with a rebuilt index — the

@@ -1,29 +1,11 @@
 package fragindex
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/fragment"
 )
-
-// indexWire is the gob-serialized form of an Index. Only live fragments are
-// written; groups are rebuilt on load.
-type indexWire struct {
-	SelAttrs  []string
-	EqAttrs   []string
-	RangeAttr string
-	FragKeys  []string
-	Terms     []int64
-	Inverted  map[string][]wirePosting
-}
-
-type wirePosting struct {
-	Frag int32
-	TF   int64
-}
 
 // Dump is an index's complete logical state in canonical, storage-neutral
 // form: live fragments sorted by identifier, keywords sorted, and each
@@ -56,9 +38,14 @@ type Dump struct {
 // without a per-fragment map or a re-sort (a list restored out of order
 // from untrusted input is the one case that still sorts).
 func (idx *Index) Dump() *Dump {
-	s := idx.s
-	order := s.liveRefsByID()
-	d := &Dump{
+	d, _ := idx.s.dump()
+	return d
+}
+
+// dump is Dump plus the live refs in dump order: FragKeys[i] is order[i].
+func (s *Snapshot) dump() (d *Dump, order []FragRef) {
+	order = s.liveRefsByID()
+	d = &Dump{
 		SelAttrs:  append([]string(nil), s.spec.SelAttrs...),
 		EqAttrs:   append([]string(nil), s.spec.EqAttrs...),
 		RangeAttr: s.spec.RangeAttr,
@@ -100,7 +87,7 @@ func (idx *Index) Dump() *Dump {
 		}
 		d.Postings[i] = ps
 	}
-	return d
+	return d, order
 }
 
 // dumpLess is Dump's posting order: TF descending, then dump position
@@ -113,7 +100,8 @@ func dumpLess(a, b Posting) bool {
 }
 
 // Restore rebuilds an index from a Dump, validating it as untrusted input:
-// duplicate fragment keys, postings referencing out-of-range fragments, and
+// a spec naming attributes outside the selection attributes, duplicate
+// fragment keys, postings referencing out-of-range fragments, and
 // duplicate postings within one keyword list all return ErrCorruptIndex —
 // each silently corrupts group or document-frequency invariants if accepted.
 func Restore(d *Dump) (*Index, error) {
@@ -129,7 +117,7 @@ func Restore(d *Dump) (*Index, error) {
 		RangeAttr: d.RangeAttr,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
 	}
 	s := idx.s
 	for i, key := range d.FragKeys {
@@ -200,6 +188,46 @@ func Restore(d *Dump) (*Index, error) {
 	return idx, nil
 }
 
+// Compact rebuilds the index without tombstones, reclaiming posting slots
+// and renumbering refs: Restore(idx.Dump()), the one-pass identifier-order
+// construction Build uses (§VI-A). It returns the compacted index at the
+// receiver's epoch; the receiver is left untouched, and the result shares
+// no storage with it (or with any snapshot it published).
+func (idx *Index) Compact() (*Index, error) { return Restore(idx.Dump()) }
+
+// split partitions the dump into n parts, fragment i going to part
+// shardOf(i). Each part keeps identifier order and, within every list,
+// posting order (positions are renumbered monotonically), so each part is
+// itself a canonical Dump; the parts carry no epoch.
+func (d *Dump) split(n int, shardOf func(i int) int) []*Dump {
+	parts := make([]*Dump, n)
+	for i := range parts {
+		parts[i] = &Dump{SelAttrs: d.SelAttrs, EqAttrs: d.EqAttrs, RangeAttr: d.RangeAttr}
+	}
+	// Fragment i moves to part at[i], position local[i].
+	at := make([]int, len(d.FragKeys))
+	local := make([]FragRef, len(d.FragKeys))
+	for i, key := range d.FragKeys {
+		si := shardOf(i)
+		p := parts[si]
+		at[i], local[i] = si, FragRef(len(p.FragKeys))
+		p.FragKeys = append(p.FragKeys, key)
+		p.Terms = append(p.Terms, d.Terms[i])
+	}
+	for k, kw := range d.Keywords {
+		for _, q := range d.Postings[k] {
+			p := parts[at[q.Frag]]
+			if n := len(p.Keywords); n == 0 || p.Keywords[n-1] != kw {
+				p.Keywords = append(p.Keywords, kw)
+				p.Postings = append(p.Postings, nil)
+			}
+			last := len(p.Postings) - 1
+			p.Postings[last] = append(p.Postings[last], Posting{Frag: local[q.Frag], TF: q.TF})
+		}
+	}
+	return parts
+}
+
 // SetEpoch forces the builder's mutation epoch so the next published
 // snapshot reports it. The durable layer uses it during recovery: a journal
 // replay must land on exactly the epoch the pre-crash index acknowledged,
@@ -207,61 +235,8 @@ func Restore(d *Dump) (*Index, error) {
 // any mutation, it requires exclusive builder access.
 func (idx *Index) SetEpoch(e uint64) { idx.s.epoch = e }
 
-// Save serializes the index. Tombstoned fragments are compacted away.
-func (idx *Index) Save(w io.Writer) error {
-	d := idx.Dump()
-	wire := indexWire{
-		SelAttrs:  d.SelAttrs,
-		EqAttrs:   d.EqAttrs,
-		RangeAttr: d.RangeAttr,
-		FragKeys:  d.FragKeys,
-		Terms:     d.Terms,
-		Inverted:  make(map[string][]wirePosting, len(d.Keywords)),
-	}
-	for i, kw := range d.Keywords {
-		wps := make([]wirePosting, len(d.Postings[i]))
-		for j, p := range d.Postings[i] {
-			wps[j] = wirePosting{Frag: int32(p.Frag), TF: p.TF}
-		}
-		wire.Inverted[kw] = wps
-	}
-	return gob.NewEncoder(w).Encode(&wire)
-}
-
-// Load deserializes an index written by Save, with the same corruption
-// validation as Restore (ErrCorruptIndex on duplicate fragments, duplicate
-// postings, or out-of-range refs).
-func Load(r io.Reader) (*Index, error) {
-	var wire indexWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
-	}
-	d := &Dump{
-		SelAttrs:  wire.SelAttrs,
-		EqAttrs:   wire.EqAttrs,
-		RangeAttr: wire.RangeAttr,
-		FragKeys:  wire.FragKeys,
-		Terms:     wire.Terms,
-		Keywords:  make([]string, 0, len(wire.Inverted)),
-	}
-	for kw := range wire.Inverted {
-		d.Keywords = append(d.Keywords, kw)
-	}
-	sort.Strings(d.Keywords)
-	d.Postings = make([][]Posting, len(d.Keywords))
-	for i, kw := range d.Keywords {
-		wps := wire.Inverted[kw]
-		ps := make([]Posting, len(wps))
-		for j, p := range wps {
-			ps[j] = Posting{Frag: FragRef(p.Frag), TF: p.TF}
-		}
-		d.Postings[i] = ps
-	}
-	return Restore(d)
-}
-
-// sortRefsByID sorts refs by fragment identifier. Saved indexes arrive
-// already sorted, so check first — sort.Slice on sorted input still pays
+// sortRefsByID sorts refs by fragment identifier. Dumps arrive already
+// sorted, so check first — sort.Slice on sorted input still pays
 // the full O(n log n) comparisons, while a linear scan confirms order in
 // one pass.
 func sortRefsByID(s *Snapshot, refs []FragRef) {

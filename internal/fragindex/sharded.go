@@ -64,10 +64,15 @@ type ShardedLiveIndex struct {
 // NewShardedLive partitions a built index across n shards and takes
 // ownership of idx: all further access must go through the returned
 // ShardedLiveIndex. With n == 1 the index is wrapped directly (no copy);
-// for n > 1 the fragments are re-inserted into per-shard builders in
-// identifier order — the same order fragindex.Build uses — so per-shard
-// posting lists and group paths match what building each shard from a
-// routed crawl output would produce.
+// for n > 1 the index's Dump is split by routed shard and each part
+// Restored — the identifier-ordered one-pass construction Build uses — so
+// per-shard posting lists and group paths match what building each shard
+// from a routed crawl output would produce.
+//
+// Shard i is seeded at epoch len(part i's fragments): one per fragment it
+// holds, the count a fragment-by-fragment partition reaches. Seeded epochs
+// name a fresh data dir's first snapshot generations and number every
+// later publish, journal record and replica apply, so they are fixed.
 func NewShardedLive(idx *Index, n int) (*ShardedLiveIndex, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fragindex: shard count %d, want >= 1", n)
@@ -82,26 +87,15 @@ func NewShardedLive(idx *Index, n int) (*ShardedLiveIndex, error) {
 		sl.shards = []*LiveIndex{NewLive(idx)}
 		return sl, nil
 	}
-	builders := make([]*Index, n)
-	for i := range builders {
-		b, err := New(s.spec)
-		if err != nil {
-			return nil, err
-		}
-		b.compactNum, b.compactDen = idx.compactNum, idx.compactDen
-		builders[i] = b
-	}
-	// Re-insert the live fragments into their routed shards, in the same
-	// identifier-ordered reconstruction Compact rebuilds from.
-	order, counts := s.liveFragmentsByID()
+	d, order := s.dump()
+	parts := d.split(n, func(i int) int { return routeKey(s.groupAt(order[i]).key, n) })
 	sl.shards = make([]*LiveIndex, n)
-	for _, ref := range order {
-		m := s.metaAt(ref)
-		if _, err := builders[sl.shardOf(m.ID)].InsertFragment(m.ID, counts[ref], m.Terms); err != nil {
-			return nil, fmt.Errorf("fragindex: partitioning %s: %w", m.ID, err)
+	for i, p := range parts {
+		p.Epoch = uint64(len(p.FragKeys))
+		b, err := Restore(p)
+		if err != nil {
+			return nil, fmt.Errorf("fragindex: partitioning shard %d: %w", i, err)
 		}
-	}
-	for i, b := range builders {
 		sl.shards[i] = NewLive(b)
 	}
 	return sl, nil
@@ -151,8 +145,11 @@ func (sl *ShardedLiveIndex) shardOf(id fragment.ID) int {
 	for i, j := range sl.eqIdx {
 		eq[i] = id[j]
 	}
-	return int(fnv32(relation.Key(eq)) % uint32(len(sl.shards)))
+	return routeKey(relation.Key(eq), len(sl.shards))
 }
+
+// routeKey maps an equality-group key to one of n shards.
+func routeKey(key string, n int) int { return int(fnv32(key) % uint32(n)) }
 
 // ShardFor returns the shard a fragment identifier routes to: the hash of
 // its equality-group key, so all members of one group share a shard.

@@ -391,64 +391,29 @@ func TestShardedBadShardCount(t *testing.T) {
 	}
 }
 
-// TestSetPostingCompaction validates the tunable threshold on Index: bad
-// ratios are refused, and Compact carries a tuned threshold over.
-func TestSetPostingCompaction(t *testing.T) {
-	idx := buildSynthIndex(t, 4, 2)
-	for _, bad := range [][2]int{{0, 4}, {1, 0}, {3, 2}, {-1, -1}} {
-		if err := idx.SetPostingCompaction(bad[0], bad[1]); err == nil {
-			t.Errorf("SetPostingCompaction(%d,%d) accepted", bad[0], bad[1])
-		}
-	}
-	if err := idx.SetPostingCompaction(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Compact propagates the tuned threshold to the rebuilt index.
-	compacted, err := idx.Compact()
+// TestCompactionThresholdBehavior: one dead posting out of eight stays
+// below the 1/4 compaction threshold, so the tombstone lingers and
+// Postings filters it.
+func TestCompactionThresholdBehavior(t *testing.T) {
+	idx, err := New(shardedSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compacted.compactNum != 1 || compacted.compactDen != 2 {
-		t.Errorf("Compact dropped threshold: %d/%d", compacted.compactNum, compacted.compactDen)
-	}
-}
-
-// TestCompactionThresholdBehavior: with an eager threshold (1/8), a list
-// with one dead posting out of eight compacts immediately; with a lazy
-// threshold (1/2) the tombstone lingers and Postings still filters it.
-func TestCompactionThresholdBehavior(t *testing.T) {
-	build := func(num, den int) *Index {
-		idx, err := New(shardedSpec)
-		if err != nil {
+	for v := 0; v < 8; v++ {
+		if _, err := idx.InsertFragment(synthID(0, v), map[string]int64{"kw": 1}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := idx.SetPostingCompaction(num, den); err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < 8; v++ {
-			if _, err := idx.InsertFragment(synthID(0, v), map[string]int64{"kw": 1}, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := idx.RemoveFragment(synthID(0, 3)); err != nil {
-			t.Fatal(err)
-		}
-		return idx
 	}
-
-	eager := build(1, 8)
-	if pl := eager.s.list("kw"); pl == nil || pl.dead != 0 {
-		t.Errorf("eager threshold left tombstones: %+v", pl)
+	if err := idx.RemoveFragment(synthID(0, 3)); err != nil {
+		t.Fatal(err)
 	}
-	lazy := build(1, 2)
-	if pl := lazy.s.list("kw"); pl == nil || pl.dead != 1 {
-		t.Errorf("lazy threshold compacted early: %+v", pl)
+	if pl := idx.s.list("kw"); pl == nil || pl.dead != 1 {
+		t.Errorf("threshold compacted early: %+v", pl)
 	}
-	// Both serve the same live postings either way.
-	if got := len(lazy.Postings("kw")); got != 7 {
-		t.Errorf("lazy Postings = %d live entries, want 7", got)
+	if got := len(idx.Postings("kw")); got != 7 {
+		t.Errorf("Postings = %d live entries, want 7", got)
 	}
-	if lazy.DF("kw") != 7 || eager.DF("kw") != 7 {
-		t.Errorf("DF disagree: lazy %d eager %d", lazy.DF("kw"), eager.DF("kw"))
+	if idx.DF("kw") != 7 {
+		t.Errorf("DF = %d, want 7", idx.DF("kw"))
 	}
 }
