@@ -33,12 +33,14 @@ lint:
 # search + routed applies at S = 1/4/16 vs the single-index baseline),
 # the durable apply benchmark (journal off vs interval vs always), the
 # replication tail-poll benchmark (journals of 10/1,000/10,000 records;
-# ns/op stays flat), and the serving-under-load benchmark (result-cache hit-rate sweep, cached
-# vs uncached hot path, open-loop 2x-overload shedding percentiles),
+# ns/op stays flat), the serving-under-load benchmark (result-cache hit-rate sweep, cached
+# vs uncached hot path, open-loop 2x-overload shedding percentiles), and the
+# whole-index rebuild benchmark (Compact and the S=3 partition, both
+# Restore of a Dump, at 10k/100k refs),
 # with allocation counts, converted to BENCH_search.json so the perf
 # trajectory is diffable PR over PR.
 bench:
-	$(GO) test -run '^$$' -bench 'Fig11|SearchContextOverhead|ParallelSearchThroughput|LiveMutationUnderLoad|ApplyPublishCost|ShardedSearchThroughput|ShardedApplyThroughput|DurableApplyThroughput|TailFrom|ServeOverload' -benchmem -count 1 . > BENCH_search.txt
+	$(GO) test -run '^$$' -bench 'Fig11|SearchContextOverhead|ParallelSearchThroughput|LiveMutationUnderLoad|ApplyPublishCost|ShardedSearchThroughput|ShardedApplyThroughput|DurableApplyThroughput|TailFrom|ServeOverload|Rebuild' -benchmem -count 1 . > BENCH_search.txt
 	$(GO) run ./cmd/benchjson -o BENCH_search.json < BENCH_search.txt
 	@rm -f BENCH_search.txt
 	@echo wrote BENCH_search.json

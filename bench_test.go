@@ -480,6 +480,39 @@ func BenchmarkApplyPublishCost(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuild measures the two whole-index rebuilds, both
+// Restore(Dump): the snapshot GC's Compact and the S = 3 partition
+// NewShardedLive runs when a handle opens. Every eighth fragment is
+// removed first, so Compact drops real tombstones. With n > 1
+// NewShardedLive only reads the source index, so one index serves every
+// iteration.
+func BenchmarkRebuild(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("refs=%d", n), func(b *testing.B) {
+			idx, ids := syntheticIndex(b, n)
+			for i := 0; i < n; i += 8 {
+				if err := idx.RemoveFragment(ids[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Run("op=compact", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := idx.Compact(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("op=partition-s3", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := fragindex.NewShardedLive(idx, 3); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
 // shardedBenchEngine partitions a fresh copy of the workload's index (the
 // cached one stays untouched — NewShardedLive takes ownership).
 func shardedBenchEngine(b *testing.B, st *benchState, shards int) *search.ShardedEngine {

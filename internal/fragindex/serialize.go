@@ -200,27 +200,43 @@ func (idx *Index) Compact() (*Index, error) { return Restore(idx.Dump()) }
 // posting order (positions are renumbered monotonically), so each part is
 // itself a canonical Dump; the parts carry no epoch.
 func (d *Dump) split(n int, shardOf func(i int) int) []*Dump {
-	parts := make([]*Dump, n)
-	for i := range parts {
-		parts[i] = &Dump{SelAttrs: d.SelAttrs, EqAttrs: d.EqAttrs, RangeAttr: d.RangeAttr}
-	}
-	// Fragment i moves to part at[i], position local[i].
+	// Fragment i moves to part at[i], position local[i]; sizes counts
+	// each part's entries so every slice is allocated once, exactly.
 	at := make([]int, len(d.FragKeys))
 	local := make([]FragRef, len(d.FragKeys))
-	for i, key := range d.FragKeys {
+	sizes := make([]int, n)
+	for i := range d.FragKeys {
 		si := shardOf(i)
-		p := parts[si]
-		at[i], local[i] = si, FragRef(len(p.FragKeys))
+		at[i], local[i] = si, FragRef(sizes[si])
+		sizes[si]++
+	}
+	parts := make([]*Dump, n)
+	for si := range parts {
+		parts[si] = &Dump{
+			SelAttrs: d.SelAttrs, EqAttrs: d.EqAttrs, RangeAttr: d.RangeAttr,
+			FragKeys: make([]string, 0, sizes[si]),
+			Terms:    make([]int64, 0, sizes[si]),
+		}
+	}
+	for i, key := range d.FragKeys {
+		p := parts[at[i]]
 		p.FragKeys = append(p.FragKeys, key)
 		p.Terms = append(p.Terms, d.Terms[i])
 	}
 	for k, kw := range d.Keywords {
+		clear(sizes)
+		for _, q := range d.Postings[k] {
+			sizes[at[q.Frag]]++
+		}
+		for si, c := range sizes {
+			if c > 0 {
+				p := parts[si]
+				p.Keywords = append(p.Keywords, kw)
+				p.Postings = append(p.Postings, make([]Posting, 0, c))
+			}
+		}
 		for _, q := range d.Postings[k] {
 			p := parts[at[q.Frag]]
-			if n := len(p.Keywords); n == 0 || p.Keywords[n-1] != kw {
-				p.Keywords = append(p.Keywords, kw)
-				p.Postings = append(p.Postings, nil)
-			}
 			last := len(p.Postings) - 1
 			p.Postings[last] = append(p.Postings[last], Posting{Frag: local[q.Frag], TF: q.TF})
 		}

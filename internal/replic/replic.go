@@ -16,8 +16,9 @@
 //
 // The replica side (Replica) bootstraps each shard from the newest
 // snapshot generation, then tails the journal and applies records through
-// fragindex.ApplyReplicated — the same fold the leader's replay loop runs,
-// published at the leader's exact epoch via the epoch-swap path. Reads on
+// fragindex.ApplyReplicated — the same Index.Fold the leader's publishes
+// and journal replay run, published at the leader's exact epoch via the
+// epoch-swap path. Reads on
 // a replica are therefore byte-identical to the leader at the same epoch.
 //
 // Failure behavior is explicitly bounded: a severed transport leaves the
