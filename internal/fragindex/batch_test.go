@@ -266,3 +266,27 @@ func TestBatchPublishCostSharesUntouchedChunks(t *testing.T) {
 		t.Errorf("%d of %d chunks shared across publish, want %d", shared, len(s0.chunks), want)
 	}
 }
+
+// TestApplyRejectsEmptyKeyword: a write carrying an empty keyword is
+// refused before it folds — Restore rejects such an index, so publishing
+// it would leave a state no checkpoint, replica bootstrap or compaction
+// could rebuild — and nothing is published.
+func TestApplyRejectsEmptyKeyword(t *testing.T) {
+	l := NewLive(buildSynthIndex(t, 4, 2))
+	before := l.Snapshot()
+	bad := crawl.Delta{Changes: []crawl.FragmentChange{{
+		Op: crawl.OpInsertFragment, ID: synthID(9, 1), TermCounts: map[string]int64{"": 1, "x": 1}, TotalTerms: 2,
+	}}}
+	if _, err := l.Apply(context.Background(), bad); !errors.Is(err, ErrEmptyKeyword) {
+		t.Errorf("Apply err = %v, want ErrEmptyKeyword", err)
+	}
+	if _, err := l.ApplyBatch(context.Background(), []crawl.Delta{bad}); !errors.Is(err, ErrEmptyKeyword) {
+		t.Errorf("ApplyBatch err = %v, want ErrEmptyKeyword", err)
+	}
+	if l.Snapshot() != before {
+		t.Error("a refused write published")
+	}
+	if _, err := l.CompactIfNeeded(context.Background(), 0); err != nil {
+		t.Errorf("compaction after a refused write: %v", err)
+	}
+}

@@ -81,6 +81,7 @@ var (
 	ErrBadIDArity   = errors.New("fragindex: fragment identifier arity mismatch")
 	ErrCorruptIndex = errors.New("fragindex: corrupt serialized index")
 	ErrDeltaSpec    = errors.New("fragindex: delta selection attributes do not match index spec")
+	ErrEmptyKeyword = errors.New("fragindex: delta carries an empty keyword")
 )
 
 // FragRef identifies a fragment within one Snapshot lineage. Refs are stable

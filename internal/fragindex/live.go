@@ -160,6 +160,19 @@ func (l *LiveIndex) checkSpec(selAttrs []string) error {
 	return nil
 }
 
+// checkKeywords rejects changes carrying an empty keyword: Restore refuses
+// one, so an index holding it could be neither restored from its
+// checkpoint, bootstrapped by a replica, nor compacted. Only the leader's
+// writes are checked; replays fold what was already published.
+func checkKeywords(changes []crawl.FragmentChange) error {
+	for _, ch := range changes {
+		if _, ok := ch.TermCounts[""]; ok {
+			return fmt.Errorf("%w: %s %s", ErrEmptyKeyword, ch.Op, ch.ID)
+		}
+	}
+	return nil
+}
+
 // Apply folds a delta into the index and publishes the result as the new
 // serving snapshot with one atomic swap. On error nothing is published and
 // the serving snapshot is unchanged (the failed build is discarded in
@@ -178,6 +191,9 @@ func (l *LiveIndex) Apply(ctx context.Context, d crawl.Delta) (ApplyStats, error
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
 	if err := l.checkSpec(d.SelAttrs); err != nil {
+		return ApplyStats{}, err
+	}
+	if err := checkKeywords(d.Changes); err != nil {
 		return ApplyStats{}, err
 	}
 	if len(d.Changes) == 0 {
@@ -207,6 +223,9 @@ func (l *LiveIndex) ApplyBatch(ctx context.Context, ds []crawl.Delta) (ApplyStat
 	}
 	folded, err := crawl.Coalesce(ds)
 	if err != nil {
+		return ApplyStats{}, err
+	}
+	if err := checkKeywords(folded.Changes); err != nil {
 		return ApplyStats{}, err
 	}
 	if len(folded.Changes) == 0 {
